@@ -1,5 +1,5 @@
 //! Regenerates experiment H1 (see DESIGN.md §4): host-side simulator
-//! throughput, byte-decode vs predecoded dispatch.
+//! throughput, byte-decode vs fused predecoded dispatch.
 //!
 //! Usage: `exp_h1_host_speed [--smoke] [--out PATH]`
 //!

@@ -1,13 +1,11 @@
-//! Regenerates experiment H4 (see DESIGN.md §8): what the static
-//! verifier buys — certificate-licensed dynamic-check elision across
-//! the four dispatch rungs, plus the cost of verification itself.
+//! Regenerates experiment H4 (see DESIGN.md §8): the cost of static
+//! verification per image, next to one run of the image it licenses.
 //!
 //! Usage: `exp_h4_verify_speed [--smoke] [--out PATH]`
 //!
-//! `--smoke` runs one cheap sample per cell (CI mode — proves the
-//! harness, the parity assertion, and the JSON shape, not the
-//! ratios); `--out` redirects the JSON from the default
-//! `BENCH_host_verify.json`.
+//! `--smoke` runs cheap samples (CI mode — proves the harness and the
+//! JSON shape, not the timings); `--out` redirects the JSON from the
+//! default `BENCH_host_verify.json`.
 
 use fpc_bench::experiments::h4;
 

@@ -1,6 +1,6 @@
-//! Regenerates experiment H5 (see DESIGN.md §9): tier-5 native
-//! execution — the byte / predecode / predecode+IC / predecode+IC+fuse
-//! / native dispatch ladder on call-dense workloads.
+//! Regenerates experiment H5 (see DESIGN.md §9): host dispatch speed
+//! — the byte / fused / native dispatch ladder on call-dense
+//! workloads.
 //!
 //! Usage: `exp_h5_native_speed [--smoke] [--out PATH]`
 //!

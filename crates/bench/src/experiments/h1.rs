@@ -1,12 +1,14 @@
-//! H1 — host-side simulator throughput: byte-decode vs predecode.
+//! H1 — host-side simulator throughput: byte decode vs the fused
+//! predecoded stream.
 //!
 //! Everything else in this harness measures the *simulated* machine;
-//! H1 measures the simulator itself. The predecoded instruction
-//! stream (`fpc-vm/src/predecode.rs`) must leave every simulated
-//! counter bit-identical (`tests/predecode_parity.rs`), so the only
-//! thing it can buy is host wall-clock — this experiment reports how
-//! much, as simulated instructions per host second with the
-//! byte-at-a-time decoder versus the predecoded stream.
+//! H1 measures the simulator itself. The predecoded, superinstruction-
+//! fused instruction stream (`fpc-vm/src/predecode.rs`,
+//! [`Dispatch::Fused`]) must leave every simulated counter
+//! bit-identical (`tests/predecode_parity.rs`), so the only thing it
+//! can buy is host wall-clock — this experiment reports how much, as
+//! simulated instructions per host second with the byte-at-a-time
+//! decoder versus the fused stream.
 //!
 //! Call-dense workloads are the interesting rows: they re-enter the
 //! same small procedure bodies millions of times, which is exactly the
@@ -16,10 +18,10 @@
 use std::time::Instant;
 
 use fpc_compiler::{Linkage, Options};
-use fpc_vm::{Machine, MachineConfig};
+use fpc_vm::{Dispatch, Machine, MachineConfig};
 use fpc_workloads::{compile_workload, corpus, Workload};
 
-/// Workloads reported by H1: the call-dense set the predecoder is
+/// Workloads reported by H1: the call-dense set the fused stream is
 /// aimed at, plus iterative contrast rows.
 pub const WORKLOADS: [&str; 7] = [
     "fib",
@@ -69,14 +71,14 @@ pub struct Row {
     pub instructions: u64,
     /// Simulated instructions per host second, byte decoder.
     pub byte_ips: f64,
-    /// Simulated instructions per host second, predecoded stream.
-    pub pre_ips: f64,
+    /// Simulated instructions per host second, fused stream.
+    pub fused_ips: f64,
 }
 
 impl Row {
-    /// Host speedup of the predecoded path.
+    /// Host speedup of the fused path.
     pub fn speedup(&self) -> f64 {
-        self.pre_ips / self.byte_ips
+        self.fused_ips / self.byte_ips
     }
 }
 
@@ -108,8 +110,8 @@ pub(crate) fn sample(
     (instructions, elapsed / reps as f64)
 }
 
-/// Measures one cell on both decode paths, returning
-/// `(instructions, best byte seconds, best predecode seconds)`.
+/// Measures one cell on both dispatch paths, returning
+/// `(instructions, best byte seconds, best fused seconds)`.
 ///
 /// The two paths are timed in *alternation* within the same loop
 /// rather than back to back: host frequency scaling and scheduler
@@ -126,41 +128,32 @@ fn measure(w: &Workload, config: MachineConfig, linkage: Linkage, p: Params) -> 
         },
     )
     .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", w.name));
-    // H1 isolates the predecoder, so the other host accelerators are
-    // pinned off on *both* paths; the transfer cache and fusion get
-    // their own ladder in H2.
-    let byte_cfg = config
-        .with_predecode(false)
-        .with_inline_xfer(false)
-        .with_fusion(false);
-    let pre_cfg = config
-        .with_predecode(true)
-        .with_inline_xfer(false)
-        .with_fusion(false);
+    let byte_cfg = config.with_dispatch(Dispatch::Byte);
+    let fused_cfg = config.with_dispatch(Dispatch::Fused);
     // Untimed warmup: fault in code paths and allocator pools.
     Machine::load(&compiled.image, byte_cfg)
         .expect("loads")
         .run(w.fuel)
         .expect("runs");
-    Machine::load(&compiled.image, pre_cfg)
+    Machine::load(&compiled.image, fused_cfg)
         .expect("loads")
         .run(w.fuel)
         .expect("runs");
-    let (mut best_byte, mut best_pre) = (f64::INFINITY, f64::INFINITY);
+    let (mut best_byte, mut best_fused) = (f64::INFINITY, f64::INFINITY);
     let mut instructions = 0;
     for _ in 0..p.runs {
         let (byte_i, byte_s) = sample(&compiled.image, byte_cfg, w.fuel, p.reps);
-        let (pre_i, pre_s) = sample(&compiled.image, pre_cfg, w.fuel, p.reps);
+        let (fused_i, fused_s) = sample(&compiled.image, fused_cfg, w.fuel, p.reps);
         assert_eq!(
-            byte_i, pre_i,
+            byte_i, fused_i,
             "{}: decode paths must simulate identically",
             w.name
         );
         instructions = byte_i;
         best_byte = best_byte.min(byte_s);
-        best_pre = best_pre.min(pre_s);
+        best_fused = best_fused.min(fused_s);
     }
-    (instructions, best_byte, best_pre)
+    (instructions, best_byte, best_fused)
 }
 
 /// Runs the full measurement matrix.
@@ -173,13 +166,13 @@ pub fn measure_all(p: Params) -> Vec<Row> {
             .find(|w| w.name == name)
             .unwrap_or_else(|| panic!("no corpus entry {name}"));
         for (cname, config, linkage) in configs() {
-            let (instructions, byte_s, pre_s) = measure(w, config, linkage, p);
+            let (instructions, byte_s, fused_s) = measure(w, config, linkage, p);
             rows.push(Row {
                 workload: name,
                 config: cname,
                 instructions,
                 byte_ips: instructions as f64 / byte_s,
-                pre_ips: instructions as f64 / pre_s,
+                fused_ips: instructions as f64 / fused_s,
             });
         }
     }
@@ -194,10 +187,10 @@ fn fmt_mips(ips: f64) -> String {
 pub fn report_and_json(p: Params) -> (String, String) {
     let rows = measure_all(p);
     let mut out = String::new();
-    out.push_str("H1: host throughput (simulated Minstr/s), byte decode vs predecoded\n");
+    out.push_str("H1: host throughput (simulated Minstr/s), byte decode vs fused predecode\n");
     out.push_str(&format!(
         "{:<10} {:>4} {:>12} {:>10} {:>10} {:>8}\n",
-        "workload", "cfg", "sim instrs", "byte", "predec", "speedup"
+        "workload", "cfg", "sim instrs", "byte", "fused", "speedup"
     ));
     for r in &rows {
         out.push_str(&format!(
@@ -206,7 +199,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
             r.config,
             r.instructions,
             fmt_mips(r.byte_ips),
-            fmt_mips(r.pre_ips),
+            fmt_mips(r.fused_ips),
             r.speedup()
         ));
     }
@@ -222,7 +215,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
     // real simulated words (bank flushes, renamed arguments), host
     // work both decoders share, so decode can only be a smaller slice
     // of its step. On i1–i3 decode is the bottleneck and the ratio is
-    // the honest measure of the predecoder.
+    // the honest measure of the fused stream.
     let worst_decode_bound = call_dense
         .iter()
         .filter(|r| r.config != "i4")
@@ -235,12 +228,12 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let mut json = String::from("{\n  \"experiment\": \"h1_host_speed\",\n  \"unit\": \"simulated instructions per host second\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"instructions\": {}, \"byte_ips\": {:.0}, \"predecode_ips\": {:.0}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"instructions\": {}, \"byte_ips\": {:.0}, \"fused_ips\": {:.0}, \"speedup\": {:.3}}}{}\n",
             r.workload,
             r.config,
             r.instructions,
             r.byte_ips,
-            r.pre_ips,
+            r.fused_ips,
             r.speedup(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -261,8 +254,8 @@ mod tests {
         // config end to end (the full matrix runs in the binary).
         let corpus = corpus();
         let w = corpus.iter().find(|w| w.name == "leafcalls").unwrap();
-        let (instrs, byte_s, pre_s) =
+        let (instrs, byte_s, fused_s) =
             measure(w, MachineConfig::i2(), Linkage::Mesa, Params::smoke());
-        assert!(instrs > 0 && byte_s > 0.0 && pre_s > 0.0);
+        assert!(instrs > 0 && byte_s > 0.0 && fused_s > 0.0);
     }
 }

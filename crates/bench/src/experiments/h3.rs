@@ -1,7 +1,7 @@
 //! H3 — the cost of surviving: what a recovered fault charges, in
 //! simulated counters and in host wall-clock.
 //!
-//! H1 and H2 price the happy path; H3 prices adversity. The scenario
+//! H1 and H5 price the happy path; H3 prices adversity. The scenario
 //! is the paper's §5.3 replenisher loop made hostile: every free frame
 //! is seized before the run starts, so the workload's first descent
 //! frame-faults repeatedly, and each fault `XFER`s to a guest handler

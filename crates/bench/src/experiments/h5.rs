@@ -1,22 +1,16 @@
-//! H5 — tier-5 native execution: the full dispatch ladder topped by
+//! H5 — host dispatch speed: the three [`Dispatch`] modes, topped by
 //! the certificate-licensed direct-threaded compiler.
 //!
-//! H2 stops at fused predecode; H5 adds the fifth rung, where hot
-//! procedure bodies stop being interpreted at all and run as chains of
-//! pre-monomorphized host handlers (`crates/vm/src/native.rs`). Five
-//! dispatch variants, identical in every simulated counter
-//! (`tests/predecode_parity.rs`):
+//! `byte` re-decodes the code bytes on every step, `fused` dispatches
+//! from the predecoded stream with superinstructions, and `native`
+//! stops interpreting hot procedure bodies at all and runs them as
+//! chains of pre-monomorphized host handlers
+//! (`crates/vm/src/native.rs`). All three are identical in every
+//! simulated counter (`tests/predecode_parity.rs`).
 //!
-//! | name | predecode | inline XFER cache | fusion | native |
-//! |------|-----------|-------------------|--------|--------|
-//! | `byte`              | off | off | off | off |
-//! | `predecode`         | on  | off | off | off |
-//! | `predecode_ic`      | on  | on  | off | off |
-//! | `predecode_ic_fuse` | on  | on  | on  | off |
-//! | `native`            | on  | on  | on  | on  |
-//!
-//! The workload set is H2's call-dense slice — these programs re-enter
-//! tiny procedure bodies millions of times, so after a few dozen
+//! The workload set is the call-dense slice of the corpus — these
+//! programs re-enter tiny procedure bodies millions of times, so after
+//! a few dozen
 //! invocations every hot body is compiled and the run spends its time
 //! in native bursts. The native rung is timed *including* warm-up:
 //! machines load cold, the license is armed, and hotness counting,
@@ -25,27 +19,25 @@
 //!
 //! Arming requires an `fpc-verify` certificate; `prepare` verifies
 //! each image and panics if the corpus ever stops verifying clean,
-//! because an unarmed native rung would silently time the fused
-//! ladder twice.
+//! because an unarmed native rung would silently time the fused rung
+//! twice.
 
 use fpc_compiler::{Linkage, Options};
 use fpc_verify::{verify_image, VerifyOptions};
-use fpc_vm::{Image, Machine, MachineConfig, NativeLicense};
+use fpc_vm::{Dispatch, Image, Machine, MachineConfig, NativeLicense};
 use fpc_workloads::{compile_workload, corpus, Workload};
 
 use super::h1::Params;
 use crate::driver::{default_workers, parallel_map};
 
-/// The call-dense slice of the corpus (same as H2's).
+/// The call-dense slice of the corpus.
 pub const WORKLOADS: [&str; 5] = ["fib", "ackermann", "tak", "hanoi", "leafcalls"];
 
 /// The dispatch ladder, weakest first.
-pub const DISPATCHES: [&str; 5] = [
-    "byte",
-    "predecode",
-    "predecode_ic",
-    "predecode_ic_fuse",
-    "native",
+pub const DISPATCHES: [(&str, Dispatch); 3] = [
+    ("byte", Dispatch::Byte),
+    ("fused", Dispatch::Fused),
+    ("native", Dispatch::Native),
 ];
 
 /// Invocations before a body compiles. Low enough that warm-up is a
@@ -53,32 +45,9 @@ pub const DISPATCHES: [&str; 5] = [
 /// decision rather than compile-everything-at-load.
 const THRESHOLD: u32 = 16;
 
-fn dispatch_config(base: MachineConfig, name: &str) -> MachineConfig {
-    match name {
-        "byte" => base
-            .with_predecode(false)
-            .with_inline_xfer(false)
-            .with_fusion(false),
-        "predecode" => base
-            .with_predecode(true)
-            .with_inline_xfer(false)
-            .with_fusion(false),
-        "predecode_ic" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(false),
-        "predecode_ic_fuse" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(true),
-        "native" => base
-            .with_predecode(true)
-            .with_inline_xfer(true)
-            .with_fusion(true)
-            .with_native_tier(true)
-            .with_native_threshold(THRESHOLD),
-        other => panic!("unknown dispatch {other}"),
-    }
+fn dispatch_config(base: MachineConfig, dispatch: Dispatch) -> MachineConfig {
+    base.with_dispatch(dispatch)
+        .with_native_threshold(THRESHOLD)
 }
 
 fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
@@ -90,7 +59,7 @@ fn configs() -> [(&'static str, MachineConfig, Linkage); 4] {
     ]
 }
 
-/// One (workload, config) measurement across the five-rung ladder.
+/// One (workload, config) measurement across the three-rung ladder.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Workload name.
@@ -101,7 +70,7 @@ pub struct Row {
     pub instructions: u64,
     /// Simulated instructions per host second, per dispatch, in
     /// [`DISPATCHES`] order.
-    pub ips: [f64; 5],
+    pub ips: [f64; 3],
     /// Instructions retired by fast native handlers in one run.
     pub native_instrs: u64,
     /// Instructions retired through the interpreter fallback inside
@@ -115,14 +84,14 @@ pub struct Row {
 }
 
 impl Row {
-    /// The headline ratio: native over the full fused ladder.
-    pub fn native_over_icfuse(&self) -> f64 {
-        self.ips[4] / self.ips[3]
+    /// The headline ratio: native over fused dispatch.
+    pub fn native_over_fused(&self) -> f64 {
+        self.ips[2] / self.ips[1]
     }
 
-    /// The full five-rung ratio over the byte decoder.
+    /// The whole ladder: native over the byte decoder.
     pub fn native_over_byte(&self) -> f64 {
-        self.ips[4] / self.ips[0]
+        self.ips[2] / self.ips[0]
     }
 
     /// Fraction of all retired instructions that ran as fast native
@@ -162,7 +131,7 @@ fn prepare(cell: &Cell) -> Prepared {
         },
     )
     .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", cell.workload.name));
-    let native_cfg = dispatch_config(cell.config, "native");
+    let native_cfg = dispatch_config(cell.config, Dispatch::Native);
     let report = verify_image(&compiled.image, &VerifyOptions::for_config(&native_cfg));
     let license = report
         .certificate()
@@ -173,8 +142,11 @@ fn prepare(cell: &Cell) -> Prepared {
             )
         })
         .native_license();
-    let mut byte =
-        Machine::load(&compiled.image, dispatch_config(cell.config, "byte")).expect("loads");
+    let mut byte = Machine::load(
+        &compiled.image,
+        dispatch_config(cell.config, Dispatch::Byte),
+    )
+    .expect("loads");
     byte.run(cell.workload.fuel).expect("runs");
     let mut native = Machine::load(&compiled.image, native_cfg).expect("loads");
     assert!(native.arm_native(license), "license must arm");
@@ -257,11 +229,11 @@ pub fn measure_all(p: Params) -> Vec<Row> {
         .iter()
         .zip(prepared)
         .map(|(cell, prep)| {
-            let mut best = [f64::INFINITY; 5];
+            let mut best = [f64::INFINITY; 3];
             for _ in 0..p.runs {
-                for (d, name) in DISPATCHES.iter().enumerate() {
-                    let cfg = dispatch_config(cell.config, name);
-                    let license = (*name == "native").then_some(prep.license);
+                for (d, &(_, dispatch)) in DISPATCHES.iter().enumerate() {
+                    let cfg = dispatch_config(cell.config, dispatch);
+                    let license = (dispatch == Dispatch::Native).then_some(prep.license);
                     let (instrs, secs) =
                         sample(&prep.image, cfg, license, cell.workload.fuel, p.reps);
                     assert_eq!(instrs, prep.instructions, "{}", cell.workload.name);
@@ -290,7 +262,7 @@ fn fmt_mips(ips: f64) -> String {
 fn worst(rows: &[Row], keep: impl Fn(&Row) -> bool) -> f64 {
     rows.iter()
         .filter(|r| keep(r))
-        .map(Row::native_over_icfuse)
+        .map(Row::native_over_fused)
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -300,31 +272,20 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let mut out = String::new();
     out.push_str("H5: tier-5 native execution (simulated Minstr/s) on call-dense workloads\n");
     out.push_str(&format!(
-        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
-        "workload",
-        "cfg",
-        "sim instrs",
-        "byte",
-        "predec",
-        "+ic",
-        "+fuse",
-        "native",
-        "nat%",
-        "vs fuse"
+        "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
+        "workload", "cfg", "sim instrs", "byte", "fused", "native", "nat%", "vs fused"
     ));
     for r in &rows {
         out.push_str(&format!(
-            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7.1}% {:>8.2}x\n",
+            "{:<10} {:>4} {:>12} {:>8} {:>8} {:>8} {:>7.1}% {:>8.2}x\n",
             r.workload,
             r.config,
             r.instructions,
             fmt_mips(r.ips[0]),
             fmt_mips(r.ips[1]),
             fmt_mips(r.ips[2]),
-            fmt_mips(r.ips[3]),
-            fmt_mips(r.ips[4]),
             100.0 * r.native_share(),
-            r.native_over_icfuse()
+            r.native_over_fused()
         ));
     }
     // i4 is reported but judged separately: with register banks on,
@@ -335,7 +296,7 @@ pub fn report_and_json(p: Params) -> (String, String) {
     let worst_i1_i3 = worst(&rows, |r| r.config != "i4");
     let worst_all = worst(&rows, |_| true);
     out.push_str(&format!(
-        "worst-case native over predecode_ic_fuse: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
+        "worst-case native over fused: {worst_i1_i3:.2}x on i1-i3, {worst_all:.2}x including the bank machine (i4)\n"
     ));
 
     let mut json = String::from(
@@ -344,34 +305,32 @@ pub fn report_and_json(p: Params) -> (String, String) {
     json.push_str(&format!(
         "  \"configs\": [{}],\n  \"dispatches\": [{}],\n  \"rows\": [\n",
         configs().map(|(c, _, _)| format!("\"{c}\"")).join(", "),
-        DISPATCHES.map(|d| format!("\"{d}\"")).join(", ")
+        DISPATCHES.map(|(d, _)| format!("\"{d}\"")).join(", ")
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"config\": \"{}\", \"instructions\": {}, \
-             \"ips\": {{\"byte\": {:.0}, \"predecode\": {:.0}, \"predecode_ic\": {:.0}, \"predecode_ic_fuse\": {:.0}, \"native\": {:.0}}}, \
+             \"ips\": {{\"byte\": {:.0}, \"fused\": {:.0}, \"native\": {:.0}}}, \
              \"native_instrs\": {}, \"interp_ops\": {}, \"compiled_procs\": {}, \"hottest_calls\": {}, \
-             \"native_share\": {:.3}, \"native_over_icfuse\": {:.3}, \"native_over_byte\": {:.3}}}{}\n",
+             \"native_share\": {:.3}, \"native_over_fused\": {:.3}, \"native_over_byte\": {:.3}}}{}\n",
             r.workload,
             r.config,
             r.instructions,
             r.ips[0],
             r.ips[1],
             r.ips[2],
-            r.ips[3],
-            r.ips[4],
             r.native_instrs,
             r.interp_ops,
             r.compiled_procs,
             r.hottest_calls,
             r.native_share(),
-            r.native_over_icfuse(),
+            r.native_over_fused(),
             r.native_over_byte(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"worst_native_over_icfuse_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_icfuse_all\": {worst_all:.3}\n}}\n"
+        "  ],\n  \"worst_native_over_fused_i1_i3\": {worst_i1_i3:.3},\n  \"worst_native_over_fused_all\": {worst_all:.3}\n}}\n"
     ));
     (out, json)
 }
@@ -405,12 +364,10 @@ mod tests {
     #[test]
     fn the_ladder_tops_out_at_native() {
         let base = MachineConfig::i2();
-        let byte = dispatch_config(base, "byte");
-        assert!(!byte.predecode && !byte.native);
-        let full = dispatch_config(base, "predecode_ic_fuse");
-        assert!(full.predecode && full.fuse && !full.native);
-        let native = dispatch_config(base, "native");
-        assert!(native.predecode && native.fuse && native.native);
+        let names: Vec<Dispatch> = DISPATCHES.iter().map(|&(_, d)| d).collect();
+        assert_eq!(names, [Dispatch::Byte, Dispatch::Fused, Dispatch::Native]);
+        let native = dispatch_config(base, Dispatch::Native);
+        assert_eq!(native.dispatch, Dispatch::Native);
         assert_eq!(native.native_threshold, THRESHOLD);
     }
 }

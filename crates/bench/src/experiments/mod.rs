@@ -15,7 +15,6 @@ pub mod e7;
 pub mod e8;
 pub mod e9;
 pub mod h1;
-pub mod h2;
 pub mod h3;
 pub mod h4;
 pub mod h5;

@@ -39,12 +39,10 @@
 //! ```
 
 mod context;
-pub mod generation;
 mod gft;
 pub mod layout;
 pub mod model;
 pub mod tables;
 
 pub use context::{Context, ContextWord, EvIndex, FrameHandle, GftIndex, PackError, ProcDesc};
-pub use generation::TableKey;
 pub use gft::GftEntry;

@@ -92,16 +92,6 @@ impl CodeStore {
         lo | (hi << 8)
     }
 
-    /// Counts `n` table reads without performing them — the
-    /// [`crate::Memory::charge_reads`] analogue for entry-vector
-    /// lookups, used by host-side caches that memoise a resolved
-    /// transfer target but still owe the simulated machine its
-    /// references.
-    #[inline]
-    pub fn charge_table_reads(&mut self, n: u64) {
-        self.stats.table_reads += n;
-    }
-
     /// Uncounted read, for disassembly and tests.
     ///
     /// # Panics
@@ -215,16 +205,6 @@ mod tests {
         assert_eq!(c.version(), v1, "reads do not invalidate");
         c.poke(ByteAddr(0), 9);
         assert_ne!(c.version(), v1);
-    }
-
-    #[test]
-    fn charged_table_reads_count_without_reading() {
-        let mut c = CodeStore::new();
-        c.append(&[0x34, 0x12]);
-        let v = c.version();
-        c.charge_table_reads(2);
-        assert_eq!(c.stats().table_reads, 2);
-        assert_eq!(c.version(), v, "charging is not a mutation");
     }
 
     #[test]

@@ -52,13 +52,10 @@ impl MemStats {
 pub struct Memory {
     words: Vec<Word>,
     stats: MemStats,
-    /// One flag per word: stores to flagged words bump [`Memory::table_gen`].
-    watched: Vec<bool>,
-    table_gen: u64,
 }
 
-/// The recyclable backing store of a retired [`Memory`]: the word and
-/// watch-flag vectors with their host allocations intact.
+/// The recyclable backing store of a retired [`Memory`]: the word
+/// vector with its host allocation intact.
 ///
 /// A host that churns through many short-lived machines (a scheduler
 /// retiring and respawning guest contexts) hands buffers back to
@@ -67,14 +64,12 @@ pub struct Memory {
 #[derive(Debug, Default)]
 pub struct MemoryBuffer {
     words: Vec<Word>,
-    watched: Vec<bool>,
 }
 
 impl MemoryBuffer {
-    /// Host-word capacity currently held (the larger of the two
-    /// vectors' capacities, in words).
+    /// Host-word capacity currently held, in words.
     pub fn capacity(&self) -> usize {
-        self.words.capacity().max(self.watched.capacity())
+        self.words.capacity()
     }
 }
 
@@ -89,86 +84,39 @@ impl Memory {
         Memory {
             words: vec![0; size as usize],
             stats: MemStats::default(),
-            watched: vec![false; size as usize],
-            table_gen: 0,
         }
     }
 
     /// Creates a zeroed memory of `size` words inside a recycled
-    /// buffer: the vectors are cleared and re-zeroed but keep their
-    /// allocations, so no host allocation happens when the buffer's
+    /// buffer: the vector is cleared and re-zeroed but keeps its
+    /// allocation, so no host allocation happens when the buffer's
     /// capacity already covers `size`. Semantically identical to
-    /// [`Memory::new`] — stats and the table generation start at zero.
+    /// [`Memory::new`] — stats start at zero.
     ///
     /// # Panics
     ///
     /// Panics if `size` is zero.
     pub fn with_buffer(size: u32, buf: MemoryBuffer) -> Self {
         assert!(size > 0, "memory must contain at least the nil word");
-        let MemoryBuffer {
-            mut words,
-            mut watched,
-        } = buf;
+        let MemoryBuffer { mut words } = buf;
         words.clear();
         words.resize(size as usize, 0);
-        watched.clear();
-        watched.resize(size as usize, false);
         Memory {
             words,
             stats: MemStats::default(),
-            watched,
-            table_gen: 0,
         }
     }
 
     /// Dismantles the memory into its recyclable backing store.
     pub fn into_buffer(self) -> MemoryBuffer {
-        MemoryBuffer {
-            words: self.words,
-            watched: self.watched,
-        }
-    }
-
-    /// Marks `addr` as a transfer-table word: any store to it (counted
-    /// or host-side) bumps the generation returned by
-    /// [`Memory::table_gen`]. Host-side caches derived from table words
-    /// — e.g. the VM's inline transfer caches over the GFT and the
-    /// global frames' code-base words — key themselves on that
-    /// generation, so a simulated program overwriting a table entry
-    /// invalidates them without any per-cache hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn watch(&mut self, addr: WordAddr) {
-        self.watched[addr.0 as usize] = true;
-    }
-
-    /// Watches `len` consecutive words starting at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range runs past the end of memory.
-    pub fn watch_range(&mut self, start: WordAddr, len: u32) {
-        for i in 0..len {
-            self.watch(start.offset(i));
-        }
-    }
-
-    /// Generation of the watched (transfer-table) words: bumped by
-    /// every store to a watched word. Monotonic; never reset.
-    #[inline]
-    pub fn table_gen(&self) -> u64 {
-        self.table_gen
+        MemoryBuffer { words: self.words }
     }
 
     /// Counts `n` architectural reads without performing them.
     ///
-    /// This exists for host-side memoisation that must preserve the
-    /// paper's reference arithmetic: a cache that remembers the result
-    /// of an N-read table walk still owes the simulated machine those N
-    /// references, it merely skips the host work of the walk. Charging
-    /// keeps [`MemStats`] bit-identical to the uncached run.
+    /// For costs the simulated machine owes without a word to touch —
+    /// e.g. the marshal reads of a cross-machine call, whose argument
+    /// words leave through the transport rather than through memory.
     #[inline]
     pub fn charge_reads(&mut self, n: u64) {
         self.stats.data_reads += n;
@@ -200,9 +148,6 @@ impl Memory {
     #[inline]
     pub fn write(&mut self, addr: WordAddr, value: Word) {
         self.stats.data_writes += 1;
-        if self.watched[addr.0 as usize] {
-            self.table_gen += 1;
-        }
         self.words[addr.0 as usize] = value;
     }
 
@@ -223,9 +168,6 @@ impl Memory {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn poke(&mut self, addr: WordAddr, value: Word) {
-        if self.watched[addr.0 as usize] {
-            self.table_gen += 1;
-        }
         self.words[addr.0 as usize] = value;
     }
 
@@ -254,21 +196,16 @@ mod tests {
     #[test]
     fn recycled_buffer_is_indistinguishable_from_fresh() {
         let mut dirty = Memory::new(64);
-        dirty.watch(WordAddr(5));
-        dirty.write(WordAddr(5), 9); // stats, watch flags, generation all dirty
+        dirty.write(WordAddr(5), 9); // stats and words dirty
         let buf = dirty.into_buffer();
         assert!(buf.capacity() >= 64);
 
-        let mut reused = Memory::with_buffer(32, buf);
+        let reused = Memory::with_buffer(32, buf);
         assert_eq!(reused.size(), 32);
         assert_eq!(reused.stats().total(), 0);
-        assert_eq!(reused.table_gen(), 0);
         for i in 0..32 {
             assert_eq!(reused.peek(WordAddr(i)), 0, "word {i} not zeroed");
         }
-        // The old watch flag must not survive into the new lease.
-        reused.write(WordAddr(5), 1);
-        assert_eq!(reused.table_gen(), 0, "stale watch flag leaked");
     }
 
     #[test]
@@ -314,22 +251,6 @@ mod tests {
         m.write(WordAddr(1), 1);
         m.reset_stats();
         assert_eq!(m.stats().total(), 0);
-    }
-
-    #[test]
-    fn watched_words_bump_the_generation() {
-        let mut m = Memory::new(16);
-        m.watch(WordAddr(3));
-        m.watch_range(WordAddr(8), 2);
-        assert_eq!(m.table_gen(), 0);
-        m.write(WordAddr(1), 5); // unwatched: no bump
-        assert_eq!(m.table_gen(), 0);
-        m.write(WordAddr(3), 5);
-        assert_eq!(m.table_gen(), 1);
-        m.poke(WordAddr(9), 7); // host-side stores count too
-        assert_eq!(m.table_gen(), 2);
-        m.reset_stats(); // counters reset; the generation must not
-        assert_eq!(m.table_gen(), 2);
     }
 
     #[test]

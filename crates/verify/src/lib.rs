@@ -20,10 +20,11 @@
 //!   recursion cycles; acyclic programs get a worst-case frame-words
 //!   bound from the entry procedure.
 //!
-//! A clean [`VerifyReport`] is a certificate: loading the image with
-//! [`MachineConfig::with_verified_images`] lets the host elide the
-//! per-step dynamic checks the proof subsumes, while every *simulated*
-//! counter stays bit-identical (the parity ladder enforces this).
+//! A clean [`VerifyReport`] is a certificate: its license arms the
+//! VM's native tier ([`fpc_vm::Dispatch::Native`]), and its effect
+//! summaries and safe points license RPC auto-retry and migration,
+//! while every *simulated* counter stays bit-identical (the parity
+//! ladder enforces this).
 //!
 //! ```
 //! use fpc_verify::{verify_image, VerifyOptions};
@@ -62,7 +63,7 @@ use fpc_vm::{Image, MachineConfig};
 pub struct VerifyOptions {
     /// Evaluation-stack capacity in words. Must match the
     /// [`MachineConfig::stack_depth`] the image will run under — the
-    /// certificate only licenses check elision at this exact limit.
+    /// certificate's native license is only valid at this exact limit.
     pub stack_depth: usize,
 }
 
@@ -202,8 +203,8 @@ mod tests {
     #[test]
     fn remote_imports_verify_with_an_informational_note() {
         // A remote descriptor resolves to its local marshalling stub,
-        // so the image still certifies — check elision stays licensed
-        // for modules with remote calls — while the remote seam is
+        // so the image still certifies — the certificate stands for
+        // modules with remote calls — while the remote seam is
         // surfaced as an informational RemoteTarget diagnostic.
         let mut b = ImageBuilder::new();
         let m = b.module("cli");

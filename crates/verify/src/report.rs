@@ -148,10 +148,9 @@ pub enum DiagKind {
     FallsOffEnd,
     /// **Informational**: an `EXTERNALCALL` routed through a remote
     /// procedure descriptor. The local marshalling stub is verified
-    /// like any procedure (so the certificate stands and check elision
-    /// stays licensed), but the call's real effects happen on another
-    /// machine the static proof cannot see into — tooling may want to
-    /// know where those seams are.
+    /// like any procedure (so the certificate stands), but the call's
+    /// real effects happen on another machine the static proof cannot
+    /// see into — tooling may want to know where those seams are.
     RemoteTarget {
         /// The link-vector slot carrying the remote descriptor.
         lv_index: u32,
@@ -352,8 +351,8 @@ pub struct ProcSafePoints {
 }
 
 /// The certificate a clean verification issues: what the image was
-/// proven to respect, and therefore what a [`fpc_vm::MachineConfig`]
-/// with `verified_images` may skip checking.
+/// proven to respect, and therefore what the native tier, RPC
+/// auto-retry and migration may rely on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// No reachable path exceeds this evaluation-stack depth,

@@ -74,6 +74,30 @@ impl BankConfig {
     }
 }
 
+/// How the host dispatches guest instructions. Host-side only: every
+/// mode produces bit-identical simulated counters, which the parity
+/// suites check rung by rung.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Dispatch {
+    /// Re-decode the code bytes on every step: the parity reference.
+    Byte,
+    /// Dispatch from a predecoded instruction stream in which hot
+    /// 2-op pairs are fused into superinstructions.
+    #[default]
+    Fused,
+    /// [`Dispatch::Fused`] plus the tier-5 native engine: hot
+    /// procedure bodies are compiled to direct-threaded arrays of
+    /// pre-monomorphized host handlers and run without the
+    /// fetch/dispatch loop. Inert until [`Machine::arm_native`]
+    /// accepts a [`NativeLicense`] derived from a clean `fpc-verify`
+    /// certificate, and permanently disarmed by installing a trap or
+    /// fault handler or by mutating loaded code.
+    ///
+    /// [`Machine::arm_native`]: crate::Machine::arm_native
+    /// [`NativeLicense`]: crate::NativeLicense
+    Native,
+}
+
 /// A complete machine configuration.
 ///
 /// The presets correspond to the paper's implementations:
@@ -97,24 +121,9 @@ pub struct MachineConfig {
     pub strict_stack: bool,
     /// Maximum evaluation-stack depth (the register stack size).
     pub stack_depth: usize,
-    /// Dispatch from a predecoded instruction stream instead of
-    /// re-parsing code bytes on every step. A pure host-side
-    /// optimisation: the simulated cost model is bit-identical either
-    /// way (decode makes no counted references), so this defaults to
-    /// on and exists mainly so experiments can measure the byte-decode
-    /// baseline.
-    pub predecode: bool,
-    /// Memoise resolved call targets in per-site inline caches,
-    /// charging (rather than performing) the table-walk references on
-    /// a hit. Host-side only: simulated counters are bit-identical
-    /// either way. Defaults to on; experiments switch it off to
-    /// measure the plain walk.
-    pub inline_xfer: bool,
-    /// Fuse hot 2-op pairs into superinstructions in the predecode
-    /// layer and execute them in dedicated step arms. Host-side only;
-    /// requires `predecode` (silently inert without it). Defaults to
-    /// on; parity tests run fused vs. unfused.
-    pub fuse: bool,
+    /// Host-side instruction dispatch (see [`Dispatch`]). Simulated
+    /// counters are bit-identical under every mode.
+    pub dispatch: Dispatch,
     /// Frame-region words withheld from normal allocation as the fault
     /// reserve: a frame-fault handler can `DONATE` them back (the §5.3
     /// replenisher's donation pool), and fault dispatch may borrow from
@@ -130,30 +139,6 @@ pub struct MachineConfig {
     ///
     /// [`VmError::FaultDepthExceeded`]: crate::VmError::FaultDepthExceeded
     pub max_fault_depth: u32,
-    /// Trust that loaded images carry an `fpc-verify` certificate
-    /// (every procedure's stack discipline and transfer targets were
-    /// statically proven) and skip the per-step dynamic stack checks:
-    /// push overflow, pop underflow, the fused-pair demotion guard and
-    /// the strict-stack call compare. Host-side only — a verified
-    /// image's simulated counters are bit-identical with the checks on
-    /// or off. The machine re-arms the checks itself whenever the
-    /// certificate's premises lapse: installing a trap or fault
-    /// handler (handler code runs at depths outside the certificate)
-    /// or mutating code post-load (`replace_proc`, `relocate_module`,
-    /// `unbind_module`).
-    pub verified_images: bool,
-    /// Enable the tier-5 native execution engine: hot procedure bodies
-    /// are compiled to direct-threaded arrays of pre-monomorphized host
-    /// handlers and executed without the fetch/dispatch loop. Host-side
-    /// only — every simulated counter stays bit-identical to byte
-    /// dispatch. Inert until [`Machine::arm_native`] is called with a
-    /// [`NativeLicense`] derived from a clean `fpc-verify` certificate,
-    /// and permanently demoted by the same certificate-lapsing events
-    /// that re-arm the dynamic checks.
-    ///
-    /// [`Machine::arm_native`]: crate::Machine::arm_native
-    /// [`NativeLicense`]: crate::NativeLicense
-    pub native: bool,
     /// Invocation count at which a procedure becomes hot enough to
     /// compile to the native tier.
     pub native_threshold: u32,
@@ -188,14 +173,10 @@ impl MachineConfig {
             alloc: AllocStrategy::General,
             strict_stack: true,
             stack_depth: 16,
-            predecode: true,
-            inline_xfer: true,
-            fuse: true,
+            dispatch: Dispatch::Fused,
             fault_reserve_words: 0,
             stack_reserve: 8,
             max_fault_depth: 8,
-            verified_images: false,
-            native: false,
             native_threshold: 32,
             memory_words: crate::image::DEFAULT_MEMORY_WORDS,
             observe_effects: false,
@@ -250,24 +231,9 @@ impl MachineConfig {
         self
     }
 
-    /// Enables or disables the predecoded instruction stream
-    /// (host-side only; simulated costs are unaffected).
-    pub fn with_predecode(mut self, on: bool) -> Self {
-        self.predecode = on;
-        self
-    }
-
-    /// Enables or disables the inline transfer caches (host-side
-    /// only; simulated costs are charged identically on hits).
-    pub fn with_inline_xfer(mut self, on: bool) -> Self {
-        self.inline_xfer = on;
-        self
-    }
-
-    /// Enables or disables superinstruction fusion (host-side only;
-    /// inert unless predecoding is on).
-    pub fn with_fusion(mut self, on: bool) -> Self {
-        self.fuse = on;
+    /// Sets the host-side dispatch mode.
+    pub fn with_dispatch(mut self, dispatch: Dispatch) -> Self {
+        self.dispatch = dispatch;
         self
     }
 
@@ -286,23 +252,6 @@ impl MachineConfig {
     /// Sets the fault-handler nesting bound.
     pub fn with_max_fault_depth(mut self, depth: u32) -> Self {
         self.max_fault_depth = depth;
-        self
-    }
-
-    /// Declares loaded images certificate-carrying (see
-    /// [`MachineConfig::verified_images`]): dynamic stack checks are
-    /// elided until a handler install or code mutation re-arms them.
-    pub fn with_verified_images(mut self, on: bool) -> Self {
-        self.verified_images = on;
-        self
-    }
-
-    /// Enables or disables the tier-5 native execution engine (see
-    /// [`MachineConfig::native`]). Host-side only; still needs a
-    /// certificate-derived license at run time before it executes
-    /// anything.
-    pub fn with_native_tier(mut self, on: bool) -> Self {
-        self.native = on;
         self
     }
 
@@ -362,19 +311,12 @@ mod tests {
             .with_alloc(AllocStrategy::General);
         assert_eq!(c.return_stack, 4);
         assert_eq!(c.alloc, AllocStrategy::General);
-        assert!(c.predecode, "predecode defaults to on");
-        assert!(!c.with_predecode(false).predecode);
-        assert!(c.inline_xfer && c.fuse, "host accelerators default on");
-        assert!(!c.with_inline_xfer(false).inline_xfer);
-        assert!(!c.with_fusion(false).fuse);
+        assert_eq!(c.dispatch, Dispatch::Fused, "fused dispatch by default");
+        assert_eq!(c.with_dispatch(Dispatch::Byte).dispatch, Dispatch::Byte);
         assert_eq!(c.fault_reserve_words, 0, "no reserve unless asked");
         assert_eq!(c.with_fault_reserve(128).fault_reserve_words, 128);
         assert_eq!(c.with_stack_reserve(4).stack_reserve, 4);
         assert_eq!(c.with_max_fault_depth(2).max_fault_depth, 2);
-        assert!(!c.verified_images, "checks stay on unless certified");
-        assert!(c.with_verified_images(true).verified_images);
-        assert!(!c.native, "native tier is opt-in");
-        assert!(c.with_native_tier(true).native);
         assert_eq!(c.with_native_threshold(7).native_threshold, 7);
         assert_eq!(
             c.memory_words,

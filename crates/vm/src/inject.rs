@@ -1,14 +1,14 @@
 //! Deterministic fault injection.
 //!
 //! The fault subsystem's claim is differential: a run that weathers
-//! injected adversity — heap pressure, code unbinds, transfer-table
-//! generation storms — must end in the same architectural state as the
-//! undisturbed run, with every extra reference and cycle attributed to
-//! the handlers in [`FaultStats`]. This module provides the adversity:
-//! a [`FaultPlan`] is a seeded, sorted schedule of [`FaultEvent`]s
-//! keyed on the machine's committed instruction count, and
-//! [`run_with_plan`] interleaves it with stepping. Same seed, same
-//! plan, same interleaving — failures replay exactly.
+//! injected adversity — heap pressure, code unbinds — must end in the
+//! same architectural state as the undisturbed run, with every extra
+//! reference and cycle attributed to the handlers in [`FaultStats`].
+//! This module provides the adversity: a [`FaultPlan`] is a seeded,
+//! sorted schedule of [`FaultEvent`]s keyed on the machine's committed
+//! instruction count, and [`run_with_plan`] interleaves it with
+//! stepping. Same seed, same plan, same interleaving — failures replay
+//! exactly.
 //!
 //! [`FaultStats`]: crate::FaultStats
 
@@ -42,15 +42,6 @@ pub enum FaultEvent {
         /// Module index to unbind.
         module: usize,
     },
-    /// Rewrite watched transfer-table words `writes` times without
-    /// changing them, storming the generation counter that guards the
-    /// inline transfer caches into wholesale revalidation.
-    GenStorm {
-        /// Instruction count to trigger at.
-        at: u64,
-        /// Number of same-value rewrites.
-        writes: u32,
-    },
 }
 
 impl FaultEvent {
@@ -59,8 +50,7 @@ impl FaultEvent {
         match *self {
             FaultEvent::FramePressure { at }
             | FaultEvent::ReleasePressure { at }
-            | FaultEvent::UnbindModule { at, .. }
-            | FaultEvent::GenStorm { at, .. } => at,
+            | FaultEvent::UnbindModule { at, .. } => at,
         }
     }
 }
@@ -81,8 +71,8 @@ impl FaultPlan {
 
     /// Generates a pseudo-random plan over the first `horizon`
     /// instructions of a run against an image with `modules` modules:
-    /// a few seize/release pressure windows, up to two unbinds, and up
-    /// to three generation storms. Deterministic in `seed`.
+    /// a few seize/release pressure windows and up to two unbinds.
+    /// Deterministic in `seed`.
     pub fn generate(seed: u64, horizon: u64, modules: usize) -> Self {
         let h = horizon.max(1);
         let mut rng = Rng::seed_from_u64(seed);
@@ -102,12 +92,6 @@ impl FaultPlan {
                     module: rng.gen_index(modules),
                 });
             }
-        }
-        for _ in 0..rng.gen_index(4) {
-            events.push(FaultEvent::GenStorm {
-                at: rng.next_u64() % h,
-                writes: rng.gen_range_u32(1, 16),
-            });
         }
         Self::from_events(events)
     }
@@ -288,8 +272,6 @@ pub struct InjectionReport {
     pub frames_seized: usize,
     /// Modules unbound (releases and guest `BINDMOD`s not deducted).
     pub unbinds: usize,
-    /// Same-value table rewrites performed by storms.
-    pub storm_writes: u64,
 }
 
 /// Steps `m` for at most `fuel` instructions, applying `plan`'s events
@@ -401,10 +383,6 @@ fn apply(m: &mut Machine, ev: FaultEvent, report: &mut InjectionReport) {
                 report.unbinds += 1;
             }
         }
-        FaultEvent::GenStorm { writes, .. } => {
-            m.shake_tables(writes);
-            report.storm_writes += writes as u64;
-        }
     }
 }
 
@@ -459,7 +437,7 @@ mod tests {
     #[test]
     fn from_events_sorts_stably() {
         let p = FaultPlan::from_events(vec![
-            FaultEvent::GenStorm { at: 9, writes: 1 },
+            FaultEvent::UnbindModule { at: 9, module: 0 },
             FaultEvent::FramePressure { at: 3 },
             FaultEvent::ReleasePressure { at: 3 },
         ]);

@@ -55,11 +55,10 @@ mod machine;
 mod native;
 mod observe;
 mod predecode;
-mod xfer;
 
 pub use banks::{BankMachine, BankStats};
 pub use cache::{CacheStats, FrameCache};
-pub use config::{AllocStrategy, BankConfig, MachineConfig, PtrLocalPolicy};
+pub use config::{AllocStrategy, BankConfig, Dispatch, MachineConfig, PtrLocalPolicy};
 pub use cost::{TransferKind, TransferStats};
 pub use error::{FaultKind, RemoteFaultClass, TrapCode, VmError};
 pub use ifu::{ReturnEntry, ReturnStack, ReturnStackStats};
@@ -76,4 +75,3 @@ pub use machine::{FaultStats, FusionStats, Machine, MachineStats, RemoteRequest,
 pub use native::{NativeLicense, NativeStats};
 pub use observe::ObservedEffects;
 pub use predecode::{fuse_pair, DecodedOp, Fetched, FusedOp, PredecodeCache, PredecodeStats};
-pub use xfer::{CachedTarget, XferCache, XferCacheStats};

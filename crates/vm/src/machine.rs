@@ -27,15 +27,14 @@ use fpc_mem::{ByteAddr, CodeStore, Memory, WordAddr};
 
 use crate::banks::{BankMachine, BankStats};
 use crate::cache::{CacheStats, FrameCache};
-use crate::config::{AllocStrategy, MachineConfig, PtrLocalPolicy};
+use crate::config::{AllocStrategy, Dispatch, MachineConfig, PtrLocalPolicy};
 use crate::cost::{TransferKind, TransferStats, CYCLE_BASE, CYCLE_MEMREF, CYCLE_REFILL};
 use crate::error::{FaultKind, RemoteFaultClass, TrapCode, VmError};
 use crate::ifu::{ReturnEntry, ReturnStack, ReturnStackStats};
-use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE, GFT_ENTRIES};
+use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE};
 use crate::native::{NOp, NativeLicense, NativeProc, NativeTier};
 use crate::observe::ObservedEffects;
 use crate::predecode::{Fetched, FusedOp, PredecodeCache, PredecodeStats};
-use crate::xfer::{CachedTarget, XferCache, XferCacheStats};
 
 /// Whole-run statistics.
 #[derive(Debug, Default, Clone)]
@@ -269,22 +268,17 @@ pub struct Machine {
     banks: Option<BankMachine>,
     defer_headers: bool,
     classes: fpc_frames::SizeClasses,
+    /// The fused predecode stream; `None` under [`Dispatch::Byte`].
     predecode: Option<PredecodeCache>,
-    xfer_ic: Option<XferCache>,
     fused_execs: u64,
     fuse_demotions: u64,
-    /// Dynamic stack checks elided under a trusted `fpc-verify`
-    /// certificate ([`MachineConfig::verified_images`]). Cleared — and
-    /// never re-set — the moment a certificate premise lapses: a trap
-    /// or fault handler is installed (handler code runs at stack
+    /// Tier-5 native execution ([`Dispatch::Native`]): hotness counters
+    /// plus direct-threaded compiled bodies. Dormant until
+    /// [`Machine::arm_native`] accepts a [`NativeLicense`], and
+    /// permanently disarmed the moment a certificate premise lapses: a
+    /// trap or fault handler is installed (handler code runs at stack
     /// depths the static analysis did not model) or loaded code is
     /// mutated (`replace_proc` / `relocate_module` / `unbind_module`).
-    elide_checks: bool,
-    /// Tier-5 native execution ([`MachineConfig::native`]): hotness
-    /// counters plus direct-threaded compiled bodies. Present whenever
-    /// the config enables the tier; dormant until [`Machine::arm_native`]
-    /// accepts a [`NativeLicense`], and permanently disarmed at the
-    /// same events that clear `elide_checks`.
     native: Option<NativeTier>,
 
     // Registers.
@@ -363,9 +357,9 @@ impl std::fmt::Debug for Machine {
 /// state), the one interior-mutability cell (the bank lookup memo) is
 /// `Cell`, which is `Send`, and the compiled native bodies are
 /// `Arc<NativeProc>` over plain data (`Send + Sync`). The accelerator
-/// caches stay valid across a steal because their coherence keys
-/// (code-store version, watched-table generation) are derived from the
-/// machine's own state, which moves with it.
+/// caches stay valid across a steal because their coherence key (the
+/// code-store version) is derived from the machine's own state, which
+/// moves with it.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Machine>();
@@ -465,17 +459,7 @@ impl Machine {
                 config.renaming()
             )));
         }
-        let (mem, code, placement) = image::load_with_buffer(image, config.memory_words, buf)?;
-        let mut mem = mem;
-        // Watch the transfer-table words — the GFT region and each
-        // global frame's code-base word — so any store to them bumps
-        // the table generation the inline transfer caches are keyed
-        // on. Watching is unconditional (it is not a counter) so the
-        // generation is meaningful whether or not the caches are on.
-        mem.watch_range(GFT_BASE, GFT_ENTRIES);
-        for &gf in &placement.gf_addrs {
-            mem.watch(gf.offset(layout::GF_CODE_BASE));
-        }
+        let (mut mem, code, placement) = image::load_with_buffer(image, config.memory_words, buf)?;
         let region = placement.frame_region.clone();
         let reserve = config.fault_reserve_words;
         if reserve > 0 && reserve + 2 >= region.end - region.start {
@@ -543,15 +527,10 @@ impl Machine {
             banks,
             defer_headers,
             classes: image.classes.clone(),
-            predecode: config
-                .predecode
-                .then(|| PredecodeCache::with_fusion(config.fuse)),
-            xfer_ic: config.inline_xfer.then(XferCache::new),
+            predecode: (config.dispatch != Dispatch::Byte).then(PredecodeCache::new),
             fused_execs: 0,
             fuse_demotions: 0,
-            elide_checks: config.verified_images,
-            native: config
-                .native
+            native: (config.dispatch == Dispatch::Native)
                 .then(|| NativeTier::new(config.native_threshold)),
             lf: WordAddr::NIL,
             gf: WordAddr::NIL,
@@ -632,7 +611,7 @@ impl Machine {
         }
     }
 
-    /// Predecode-cache statistics, when predecoding is enabled.
+    /// Predecode-cache statistics, unless dispatch is [`Dispatch::Byte`].
     pub fn predecode_stats(&self) -> Option<PredecodeStats> {
         self.predecode.as_ref().map(|p| {
             let mut s = p.stats();
@@ -648,22 +627,14 @@ impl Machine {
         })
     }
 
-    /// Inline-transfer-cache statistics, when the caches are enabled.
-    pub fn xfer_cache_stats(&self) -> Option<XferCacheStats> {
-        self.xfer_ic.as_ref().map(|c| c.stats())
-    }
-
-    /// Superinstruction-fusion statistics, when fusion is active
-    /// (requires predecoding).
+    /// Superinstruction-fusion statistics, unless dispatch is
+    /// [`Dispatch::Byte`].
     pub fn fusion_stats(&self) -> Option<FusionStats> {
-        match &self.predecode {
-            Some(p) if self.config.fuse => Some(FusionStats {
-                fused_sites: p.fused_pairs(),
-                fused_execs: self.fused_execs,
-                demotions: self.fuse_demotions,
-            }),
-            _ => None,
-        }
+        self.predecode.as_ref().map(|p| FusionStats {
+            fused_sites: p.fused_pairs(),
+            fused_execs: self.fused_execs,
+            demotions: self.fuse_demotions,
+        })
     }
 
     /// Performs the initial transfer to `entry` with `args` pre-pushed
@@ -727,8 +698,7 @@ impl Machine {
     pub fn set_trap_handler(&mut self, image: &Image, handler: ProcRef) -> Result<(), VmError> {
         self.trap_handler = Some(image.proc_desc(handler)?);
         // Handler code runs stacked on top of the trapping context at
-        // depths the verify certificate did not model: re-arm checks.
-        self.elide_checks = false;
+        // depths the verify certificate did not model.
         self.native_deopt();
         Ok(())
     }
@@ -752,7 +722,6 @@ impl Machine {
         self.fault_handlers[kind.index()] = Some(image.proc_desc(handler)?);
         // As with trap handlers: fault dispatch runs guest code at
         // unmodelled depths, so the verify certificate lapses.
-        self.elide_checks = false;
         self.native_deopt();
         Ok(())
     }
@@ -760,14 +729,6 @@ impl Machine {
     /// Fault-subsystem counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.fstats
-    }
-
-    /// Whether dynamic stack checks are currently elided under a
-    /// trusted verify certificate: the machine was configured with
-    /// [`MachineConfig::with_verified_images`] and no certificate
-    /// premise (no handlers, unmutated code) has lapsed since load.
-    pub fn checks_elided(&self) -> bool {
-        self.elide_checks
     }
 
     /// Marks a module's code segment swapped out. The bytes stay in the
@@ -779,9 +740,9 @@ impl Machine {
     /// are resident until it leaves), exactly like a segment whose swap
     /// is deferred while in use.
     ///
-    /// The accelerators are flushed first so no return stack entry,
-    /// bank, or inline cache can carry control into the unbound segment
-    /// behind the check's back.
+    /// The accelerators are flushed first so no return stack entry or
+    /// bank can carry control into the unbound segment behind the
+    /// check's back.
     ///
     /// # Errors
     ///
@@ -795,8 +756,7 @@ impl Machine {
         // Caches over the code must revalidate across the transition.
         self.code.bump_version();
         // The certificate covered the loaded image; unbinding changes
-        // which transfers can complete, so dynamic checks come back.
-        self.elide_checks = false;
+        // which transfers can complete.
         self.native_deopt();
         Ok(())
     }
@@ -865,17 +825,6 @@ impl Machine {
         self.fstats.injected_refs += self.refs_total() - refs0;
     }
 
-    /// Injection hook: re-writes a watched transfer-table word with its
-    /// own value `n` times (host-side, uncounted). Architecturally a
-    /// no-op, but each poke bumps the table generation, forcing every
-    /// inline transfer cache to revalidate — a generation storm.
-    pub fn shake_tables(&mut self, n: u32) {
-        for _ in 0..n {
-            let v = self.mem.peek(GFT_BASE);
-            self.mem.poke(GFT_BASE, v);
-        }
-    }
-
     /// Runs until `HALT`, all processes exit, or an error.
     ///
     /// # Errors
@@ -939,10 +888,11 @@ impl Machine {
     /// Arms the tier-5 native compiler under a verifier license.
     ///
     /// Returns `false` — leaving the tier provably dormant — when the
-    /// config never enabled it, when any certificate premise has
-    /// already lapsed (a trap or fault handler was installed, or
-    /// loaded code was mutated), or when the license's proven stack
-    /// bound does not fit this machine's configured stack depth.
+    /// dispatch mode is not [`Dispatch::Native`], when any certificate
+    /// premise has already lapsed (a trap or fault handler was
+    /// installed, or loaded code was mutated), or when the license's
+    /// proven stack bound does not fit this machine's configured stack
+    /// depth.
     pub fn arm_native(&mut self, license: NativeLicense) -> bool {
         let stack_depth = self.config.stack_depth;
         let Some(nt) = self.native.as_mut() else {
@@ -960,7 +910,7 @@ impl Machine {
         self.native.as_ref().is_some_and(|nt| nt.armed())
     }
 
-    /// Host-side native-tier counters, when the config enables the tier.
+    /// Host-side native-tier counters, under [`Dispatch::Native`].
     pub fn native_stats(&self) -> Option<crate::NativeStats> {
         self.native.as_ref().map(|nt| nt.stats())
     }
@@ -980,8 +930,7 @@ impl Machine {
         Some(nt.hotness(headers))
     }
 
-    /// Permanent native deopt: a certificate premise lapsed. Invoked
-    /// at exactly the events that clear `elide_checks`.
+    /// Permanent native deopt: a certificate premise lapsed.
     fn native_deopt(&mut self) {
         if let Some(nt) = self.native.as_mut() {
             nt.disarm();
@@ -992,13 +941,12 @@ impl Machine {
     /// compilations, and look up `pc` in the compiled-body map.
     fn native_begin(&mut self) -> Option<(Arc<NativeProc>, usize, u32)> {
         let code_version = self.code.version();
-        let table_gen = self.mem.table_gen();
         let code_len = self.code.len();
         let nt = self.native.as_mut()?;
         if !nt.armed() {
             return None;
         }
-        nt.sync(code_version, table_gen, code_len);
+        nt.sync(code_version, code_len);
         if nt.has_pending() {
             self.native_compile_pending();
         }
@@ -1073,7 +1021,6 @@ impl Machine {
         // fault handler can be installed while the tier runs: burst
         // instructions are never handler-attributed.
         debug_assert_eq!(self.fault_depth, 0);
-        let gen0 = self.mem.table_gen();
         let ver0 = self.code.version();
         // `wrap` is a modulo by the memory size; for the (universal)
         // power-of-two case a mask computes the identical address
@@ -1106,8 +1053,8 @@ impl Machine {
         // A transfer retires through `native_transfer`, then chases the
         // new pc back into compiled code (recursive transfers stay in
         // the current body without touching the shared handle). Exits
-        // the burst on halt, on a version/generation move, or when the
-        // target is not compiled.
+        // the burst on halt, on a code-version move, or when the target
+        // is not compiled.
         macro_rules! xfer {
             ($start:expr, $instr:expr, $len:expr) => {
                 let start: u32 = $start;
@@ -1117,7 +1064,7 @@ impl Machine {
                 if self.halted {
                     break Ok(NativeExit::Halted);
                 }
-                if self.code.version() != ver0 || self.mem.table_gen() != gen0 {
+                if self.code.version() != ver0 {
                     break Ok(NativeExit::Left);
                 }
                 if self.pc.0 != start + $len as u32 {
@@ -1179,10 +1126,6 @@ impl Machine {
                     self.mem
                         .write(fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32), v);
                     cycles += CYCLE_BASE + CYCLE_MEMREF;
-                    if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(proc.offs[ip as usize]);
-                        break Ok(NativeExit::Left);
-                    }
                 }
                 NOp::GlobalAddr(n) => {
                     let addr = fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32);
@@ -1202,10 +1145,6 @@ impl Machine {
                     let v = self.stack.pop().unwrap_or(0);
                     self.mem.write(addr, v);
                     cycles += CYCLE_BASE + CYCLE_MEMREF;
-                    if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(proc.offs[ip as usize]);
-                        break Ok(NativeExit::Left);
-                    }
                 }
                 NOp::LoadIndex => {
                     self.obs(|o| o.reads_memory = true);
@@ -1222,10 +1161,6 @@ impl Machine {
                     let v = self.stack.pop().unwrap_or(0);
                     self.mem.write(WordAddr(base.wrapping_add(idx) as u32), v);
                     cycles += CYCLE_BASE + CYCLE_MEMREF;
-                    if self.mem.table_gen() != gen0 {
-                        self.pc = ByteAddr(proc.offs[ip as usize]);
-                        break Ok(NativeExit::Left);
-                    }
                 }
                 NOp::Add => {
                     self.native_binary(|a, b| a.wrapping_add(b));
@@ -1358,9 +1293,9 @@ impl Machine {
                     if self.halted {
                         break Ok(NativeExit::Halted);
                     }
-                    if self.code.version() != ver0 || self.mem.table_gen() != gen0 {
-                        // Code or a watched table changed under the
-                        // burst; `pc` is already architectural.
+                    if self.code.version() != ver0 {
+                        // Code changed under the burst; `pc` is
+                        // already architectural.
                         break Ok(NativeExit::Left);
                     }
                     if self.pc.0 != start + len as u32 {
@@ -1591,22 +1526,7 @@ impl Machine {
         let refs0 = self.refs_total();
         let divert0 = self.stats.divert_cycles;
         self.pc = instr_start.offset(len as u32);
-        let flow = match instr {
-            Instr::LocalCall(k) if self.xfer_ic.is_some() => {
-                self.local_call_cached(k, instr_start)?
-            }
-            Instr::ExternalCall(k) if self.xfer_ic.is_some() => {
-                self.external_call_cached(k, instr_start)?
-            }
-            Instr::DirectCall(a) if self.xfer_ic.is_some() => {
-                self.direct_call_cached(ByteAddr(a), instr_start.0)?
-            }
-            Instr::ShortDirectCall(d) if self.xfer_ic.is_some() => {
-                self.direct_call_cached(instr_start.displace(d), instr_start.0)?
-            }
-            Instr::Ret => self.perform_return()?,
-            _ => self.execute(instr, instr_start)?,
-        };
+        let flow = self.execute(instr, instr_start)?;
         let refs = self.refs_total() - refs0;
         let divert = self.stats.divert_cycles - divert0;
         let mut cycles = CYCLE_BASE + refs * CYCLE_MEMREF + divert;
@@ -1800,7 +1720,6 @@ impl Machine {
         // segment now rather than on first execution.
         self.refresh_predecode();
         // The relocated segment was never seen by the verifier.
-        self.elide_checks = false;
         self.native_deopt();
         Ok(new_base)
     }
@@ -1871,8 +1790,7 @@ impl Machine {
         // Version bumped; retranslate so the new body (found through
         // the redirected entry-vector slot) is predecoded up front.
         self.refresh_predecode();
-        // The replacement body carries no certificate: checks return.
-        self.elide_checks = false;
+        // The replacement body carries no certificate.
         self.native_deopt();
         Ok(hdr)
     }
@@ -2070,9 +1988,7 @@ impl Machine {
         use Instr as I;
         let in_handler = self.fault_depth > 0;
         let depth = self.stack.len();
-        if !self.elide_checks
-            && (depth < f.need as usize || depth + f.grow as usize > self.config.stack_depth)
-        {
+        if depth < f.need as usize || depth + f.grow as usize > self.config.stack_depth {
             self.fuse_demotions += 1;
             return self.step_one(a, f.len_a, instr_start);
         }
@@ -2475,10 +2391,8 @@ impl Machine {
     /// arms read as `taken` expressions.
     #[inline]
     fn top_apply(&mut self, f: impl FnOnce(i16) -> i16) -> bool {
-        // Non-empty by the fusion depth guard, or by the verify
-        // certificate when that guard is elided; total either way so a
-        // bad certificate can corrupt guest state but never panic the
-        // host.
+        // Non-empty by the fusion depth guard; total anyway so the
+        // host never panics on a guard bug.
         if let Some(t) = self.stack.last_mut() {
             *t = f(*t as i16) as u16;
         } else {
@@ -2499,8 +2413,8 @@ impl Machine {
         b_start: ByteAddr,
         d: i32,
     ) -> bool {
-        // Depth ≥ 2 by the fusion guard or the verify certificate;
-        // total regardless (see `top_apply`).
+        // Depth ≥ 2 by the fusion guard; total regardless (see
+        // `top_apply`).
         let y = self.stack.pop().unwrap_or(0) as i16;
         let x = self.stack.pop().unwrap_or(0) as i16;
         if f(x, y) == on_true {
@@ -2527,14 +2441,12 @@ impl Machine {
 
     #[inline]
     fn push(&mut self, v: u16) -> Result<(), VmError> {
-        if !self.elide_checks && self.stack.len() >= self.stack_limit() {
+        if self.stack.len() >= self.stack_limit() {
             // Without a StackOverflow fault handler this is fatal
             // rather than a catchable trap: the compiler bounds
             // expression depth statically, so hitting it means
             // miscompiled code. With a handler installed the step loop
-            // converts it into a restartable fault. Under a trusted
-            // verify certificate the bound is a theorem and the check
-            // is skipped (a handler install re-arms it).
+            // converts it into a restartable fault.
             return Err(VmError::UnhandledTrap(TrapCode::StackOverflow));
         }
         self.stack.push(v);
@@ -2543,12 +2455,6 @@ impl Machine {
 
     #[inline]
     fn pop(&mut self) -> Result<u16, VmError> {
-        if self.elide_checks {
-            // The certificate proves no reachable pop underflows; stay
-            // total anyway so an unsound certificate degrades to wrong
-            // guest arithmetic, never a host panic.
-            return Ok(self.stack.pop().unwrap_or(0));
-        }
         self.stack.pop().ok_or(VmError::StackUnderflow)
     }
 
@@ -2674,11 +2580,9 @@ impl Machine {
             nret: import.nret,
             idempotence: import.idempotence,
         });
-        // The native tier compiles EFC sites into direct threaded
-        // calls that would bypass the remote intercept: disarm it. The
-        // verify certificate is unaffected — remote descriptors are
-        // modelled by their arity-matched stubs — so `elide_checks`
-        // deliberately stays.
+        // Remote descriptors bypass the certificate's local call graph:
+        // disarm the native tier rather than let compiled bursts run
+        // across a cross-machine transfer.
         self.native_deopt();
     }
 
@@ -2845,104 +2749,6 @@ impl Machine {
         let header = base.offset(rel as u32);
         self.check_header(header)?;
         Ok((header, gf, base))
-    }
-
-    /// Brings the inline transfer cache up to the current generations
-    /// and returns it. Callers have already checked `xfer_ic.is_some()`.
-    #[inline]
-    fn ic_synced(&mut self) -> &mut XferCache {
-        let code_version = self.code.version();
-        let table_gen = self.mem.table_gen();
-        let code_len = self.code.len();
-        let ic = self.xfer_ic.as_mut().expect("checked by caller");
-        ic.sync(code_version, table_gen, code_len);
-        ic
-    }
-
-    /// `EFC` through the inline cache. The link-vector read is real and
-    /// counted either way (the guard rides its raw value); a hit then
-    /// *charges* the GFT walk's 2 data reads and 1 table read instead
-    /// of performing them.
-    fn external_call_cached(&mut self, k: u8, instr_start: ByteAddr) -> Result<Flow, VmError> {
-        let lv_raw = self.mem.read(self.wrap(layout::lv_slot(self.gf, k as u32)));
-        if let Some(t) = self.ic_synced().lookup_link(instr_start.0, lv_raw) {
-            self.mem.charge_reads(2);
-            self.code.charge_table_reads(1);
-            return self.perform_call_resolved(t, TransferKind::Call, true);
-        }
-        let w = ContextWord::from_raw(lv_raw);
-        match Context::from(w) {
-            Context::Proc(p) => {
-                let (header, dest_gf, dest_cb) = self.resolve_proc_desc(p)?;
-                let (fsi, flags) = self.read_header(header);
-                let t = CachedTarget {
-                    header,
-                    gf: dest_gf,
-                    cb: dest_cb,
-                    fsi,
-                    flags,
-                };
-                if let Some(ic) = self.xfer_ic.as_mut() {
-                    ic.fill_link(instr_start.0, t, lv_raw);
-                }
-                self.perform_call_resolved(t, TransferKind::Call, true)
-            }
-            Context::Frame(_) => self.perform_xfer(w),
-            Context::Nil => Err(VmError::XferToNil),
-        }
-    }
-
-    /// `LFC` through the inline cache: a hit charges the entry-vector
-    /// table read instead of performing it.
-    fn local_call_cached(&mut self, k: u8, instr_start: ByteAddr) -> Result<Flow, VmError> {
-        let (caller_gf, caller_cb) = (self.gf, self.code_base);
-        if let Some(t) = self
-            .ic_synced()
-            .lookup_local(instr_start.0, caller_gf, caller_cb)
-        {
-            self.code.charge_table_reads(1);
-            return self.perform_call_resolved(t, TransferKind::Call, true);
-        }
-        let slot = layout::ev_slot(caller_cb, k as u16);
-        self.check_ev_slot(slot)?;
-        let rel = self.code.read_table(slot);
-        let header = caller_cb.offset(rel as u32);
-        self.check_header(header)?;
-        let (fsi, flags) = self.read_header(header);
-        let t = CachedTarget {
-            header,
-            gf: caller_gf,
-            cb: caller_cb,
-            fsi,
-            flags,
-        };
-        if let Some(ic) = self.xfer_ic.as_mut() {
-            ic.fill_local(instr_start.0, t, caller_gf, caller_cb);
-        }
-        self.perform_call_resolved(t, TransferKind::Call, true)
-    }
-
-    /// `DFC`/`SDC` through the inline cache: the resolution is all
-    /// uncounted header peeks, so a hit charges nothing — it only
-    /// spares the host the peeks and flag unpacking.
-    fn direct_call_cached(&mut self, header: ByteAddr, site: u32) -> Result<Flow, VmError> {
-        if let Some(t) = self.ic_synced().lookup_burned(site) {
-            return self.perform_call_resolved(t, TransferKind::Call, true);
-        }
-        self.check_header(header)?;
-        let (gf, cb) = self.read_header_gf_cb(header);
-        let (fsi, flags) = self.read_header(header);
-        let t = CachedTarget {
-            header,
-            gf,
-            cb,
-            fsi,
-            flags,
-        };
-        if let Some(ic) = self.xfer_ic.as_mut() {
-            ic.fill_burned(site, t);
-        }
-        self.perform_call_resolved(t, TransferKind::Call, true)
     }
 
     fn alloc_frame(&mut self, fsi: u8, addr_taken: bool) -> Result<WordAddr, VmError> {
@@ -3137,35 +2943,6 @@ impl Machine {
     ) -> Result<Flow, VmError> {
         self.check_header(header)?;
         let (fsi, flags) = self.read_header(header);
-        self.perform_call_resolved(
-            CachedTarget {
-                header,
-                gf: dest_gf,
-                cb: dest_cb,
-                fsi,
-                flags,
-            },
-            kind,
-            strict,
-        )
-    }
-
-    /// [`Machine::perform_call`] with the header bytes already in hand
-    /// — the entry point for inline-cache hits, which memoise the
-    /// parsed header alongside the resolved addresses.
-    fn perform_call_resolved(
-        &mut self,
-        t: CachedTarget,
-        kind: TransferKind,
-        strict: bool,
-    ) -> Result<Flow, VmError> {
-        let CachedTarget {
-            header,
-            gf: dest_gf,
-            cb: dest_cb,
-            fsi,
-            flags,
-        } = t;
         let (nargs, addr_taken) = layout::unpack_flags(flags);
         if let Some(nt) = self.native.as_mut() {
             // Hotness: count the callee, and the caller body via the
@@ -3176,11 +2953,7 @@ impl Machine {
         // or an empty AV list must surface while the caller's state is
         // still exactly as the restarted instruction will find it.
         self.check_bound(dest_cb)?;
-        if strict
-            && self.config.strict_stack
-            && !self.elide_checks
-            && self.stack.len() != nargs as usize
-        {
+        if strict && self.config.strict_stack && self.stack.len() != nargs as usize {
             return Err(VmError::StrictStackViolation {
                 depth: self.stack.len(),
                 nargs: nargs as usize,
@@ -3628,9 +3401,6 @@ impl Machine {
                 if let Some(link) = self.remote_link_at(k) {
                     return self.remote_xfer(link, instr_start);
                 }
-                if self.xfer_ic.is_some() {
-                    return self.external_call_cached(k, instr_start);
-                }
                 // One reference into the link vector…
                 let w = ContextWord::from_raw(
                     self.mem.read(self.wrap(layout::lv_slot(self.gf, k as u32))),
@@ -3654,9 +3424,6 @@ impl Machine {
                 }
             }
             Instr::LocalCall(k) => {
-                if self.xfer_ic.is_some() {
-                    return self.local_call_cached(k, instr_start);
-                }
                 // Same module: same environment and code base, one
                 // level of indirection (the entry vector).
                 let slot = layout::ev_slot(self.code_base, k as u16);
@@ -3673,18 +3440,12 @@ impl Machine {
             }
             Instr::DirectCall(addr) => {
                 let header = ByteAddr(addr);
-                if self.xfer_ic.is_some() {
-                    return self.direct_call_cached(header, instr_start.0);
-                }
                 self.check_header(header)?;
                 let (gf, cb) = self.read_header_gf_cb(header);
                 return self.perform_call(header, gf, cb, TransferKind::Call, true);
             }
             Instr::ShortDirectCall(d) => {
                 let header = instr_start.displace(d);
-                if self.xfer_ic.is_some() {
-                    return self.direct_call_cached(header, instr_start.0);
-                }
                 self.check_header(header)?;
                 let (gf, cb) = self.read_header_gf_cb(header);
                 return self.perform_call(header, gf, cb, TransferKind::Call, true);
@@ -3738,7 +3499,7 @@ impl Machine {
                 ))?;
                 // Preflight the push: overflowing *after* the alloc
                 // would leak the record across the fault and restart.
-                if !self.elide_checks && self.stack.len() >= self.stack_limit() {
+                if self.stack.len() >= self.stack_limit() {
                     return Err(VmError::UnhandledTrap(TrapCode::StackOverflow));
                 }
                 let rec = self.alloc_frame(fsi, false)?;

@@ -1,22 +1,22 @@
 //! Tier-5 native execution: certificate-licensed direct-threaded
 //! compilation of hot procedure bodies.
 //!
-//! The dispatch ladder so far (byte → predecode → +inline XFER cache →
-//! +fusion) still pays an interpretive dispatch per step. This module
-//! adds a fifth rung: hot procedure bodies are compiled once into a
-//! chain of pre-monomorphized host handlers ([`NOp`]) with operands
-//! inlined and jump targets resolved to op indices — direct-threaded
-//! code in safe Rust, no runtime codegen.
+//! The interpreted dispatch modes (byte decode, fused predecode) still
+//! pay an interpretive dispatch per step. This module adds a third
+//! rung, [`crate::Dispatch::Native`]: hot procedure bodies are compiled
+//! once into a chain of pre-monomorphized host handlers ([`NOp`]) with
+//! operands inlined and jump targets resolved to op indices —
+//! direct-threaded code in safe Rust, no runtime codegen.
 //!
 //! # Licensing
 //!
 //! The tier only runs under a [`NativeLicense`], normally minted from a
 //! clean `fpc_verify::Certificate`. The license carries the verifier's
 //! whole-image stack-depth bound; arming fails unless that bound fits
-//! the machine's configured stack limit. Every event that would lapse a
-//! check-elision certificate (trap/fault-handler install, `unbind`,
-//! `relocate`, `replace_proc`) also permanently disarms the native tier
-//! and marks the certificate premises broken, so re-arming without
+//! the machine's configured stack limit. Every event that lapses a
+//! certificate premise (trap/fault-handler install, `unbind`,
+//! `relocate`, `replace_proc`) permanently disarms the native tier and
+//! marks the certificate premises broken, so re-arming without
 //! re-verification is impossible.
 //!
 //! # Charge-not-perform
@@ -31,15 +31,18 @@
 //!
 //! # Deoptimization
 //!
-//! Compiled code is keyed by [`TableKey`] (code version × watched-table
-//! generation). A mismatch at burst entry flushes every compiled body
-//! (invocation counts survive, so hot bodies recompile); a store that
-//! bumps the generation *inside* a burst exits the burst at the next
-//! instruction boundary, which is also a restartable-fault boundary.
+//! A compiled body is a function of the code bytes alone: calls and
+//! returns retire through the interpreter's own transfer path, which
+//! walks the link vector, GFT and entry vector afresh every time, so no
+//! table-derived fact is baked into compiled code and a guest store to
+//! a table word needs no deopt. Compiled code is therefore keyed by the
+//! code store's version. A mismatch at burst entry flushes every
+//! compiled body (invocation counts survive, so hot bodies recompile);
+//! a code mutation *inside* a burst exits it at the next instruction
+//! boundary, which is also a restartable-fault boundary.
 
 use std::sync::Arc;
 
-use fpc_core::TableKey;
 use fpc_isa::Instr;
 use fpc_stats::Histogram;
 
@@ -96,7 +99,7 @@ pub struct NativeStats {
     pub native_instrs: u64,
     /// Instructions retired via the interpreter fallback inside bursts.
     pub interp_ops: u64,
-    /// Transient deopts: whole-tier flushes on a [`TableKey`] mismatch.
+    /// Transient deopts: whole-tier flushes on a code-version change.
     pub flushes: u64,
     /// Permanent deopts: certificate-lapse disarms.
     pub disarms: u64,
@@ -120,17 +123,17 @@ pub(crate) enum NOp {
     LocalAddr(u8),
     /// `LoadGlobal`: one counted read of the global slot.
     GlobalRd(u8),
-    /// `StoreGlobal`: one counted write; may bump the table generation.
+    /// `StoreGlobal`: one counted write of the global slot.
     GlobalWr(u8),
     /// `LoadGlobalAddr`: pure address push.
     GlobalAddr(u8),
     /// `Read` (banks off): counted read at a popped address.
     Read,
-    /// `Write` (banks off): counted write; may bump the generation.
+    /// `Write` (banks off): counted write at a popped address.
     Write,
     /// `LoadIndex` (banks off): counted read at base + index.
     LoadIndex,
-    /// `StoreIndex` (banks off): counted write; may bump the generation.
+    /// `StoreIndex` (banks off): counted write at base + index.
     StoreIndex,
     Add,
     Sub,
@@ -256,7 +259,7 @@ pub(crate) struct NativeProc {
 const REFUSED: u16 = u16::MAX;
 
 /// The per-machine native tier: hotness counters, the compiled-body
-/// table, and the coherence key that deoptimizes it.
+/// table, and the code version that deoptimizes it.
 #[derive(Debug)]
 pub(crate) struct NativeTier {
     threshold: u32,
@@ -265,8 +268,8 @@ pub(crate) struct NativeTier {
     /// relocations or patches since load). Once false, arming is
     /// permanently refused.
     cert_ok: bool,
-    /// Coherence snapshot guarding every compiled body.
-    key: TableKey,
+    /// Code-store version every compiled body was built against.
+    code_version: u64,
     procs: Vec<Arc<NativeProc>>,
     /// Code byte → compiled proc index + 1; 0 = uncovered, [`REFUSED`]
     /// = offered and declined (stops the pending queue from cycling).
@@ -292,9 +295,9 @@ impl NativeTier {
             threshold: threshold.max(1),
             armed: false,
             cert_ok: true,
-            // Sentinel key: the first sync always flushes, sizing the
-            // maps to the live code store.
-            key: TableKey::new(u64::MAX, u64::MAX),
+            // Sentinel version: the first sync always flushes, sizing
+            // the maps to the live code store.
+            code_version: u64::MAX,
             procs: Vec::new(),
             pc_map: Vec::new(),
             counts: Vec::new(),
@@ -332,16 +335,17 @@ impl NativeTier {
         self.pending.clear();
     }
 
-    /// Transient deopt check at burst entry: on a key mismatch, flush
-    /// every compiled body (counts survive so hot bodies recompile).
-    pub fn sync(&mut self, code_version: u64, table_gen: u64, code_len: u32) {
-        if self.key.matches(code_version, table_gen) {
+    /// Transient deopt check at burst entry: on a code-version change,
+    /// flush every compiled body (counts survive so hot bodies
+    /// recompile).
+    pub fn sync(&mut self, code_version: u64, code_len: u32) {
+        if self.code_version == code_version {
             return;
         }
         if !self.procs.is_empty() || !self.pc_map.is_empty() {
             self.flushes += 1;
         }
-        self.key = TableKey::new(code_version, table_gen);
+        self.code_version = code_version;
         self.procs.clear();
         self.pc_map.clear();
         self.pc_map.resize(code_len as usize, 0);
@@ -427,12 +431,6 @@ impl NativeTier {
         let proc = compile_body(code, body, end, fast_mem);
         if proc.ops.len() <= 1 {
             return false;
-        }
-        if std::env::var_os("FPC_NATIVE_DUMP").is_some() {
-            eprintln!("native compile [{body:#06x}..{end:#06x}):");
-            for (i, op) in proc.ops.iter().enumerate() {
-                eprintln!("  {i:4} @{:#06x}  {op:?}", proc.offs[i]);
-            }
         }
         let idx = self.procs.len() as u16 + 1;
         for a in body..end {
@@ -532,7 +530,7 @@ fn compile_body(code: &[u8], body: u32, end: u32, fast_mem: bool) -> NativeProc 
 
 /// Superinstruction pass: greedily fuses the longest known run of
 /// adjacent fast ops at each position into a single dispatch (the
-/// native analogue of the rung-4 pair fusion, extended to the 3- and
+/// native analogue of the predecoder's pair fusion, extended to the 3- and
 /// 4-instruction idioms that dominate call-dense code: `local − const`
 /// argument setup and `local cmp operand; branch` guards). A run only
 /// forms when none of its non-first ops is a jump target or an
@@ -830,7 +828,7 @@ mod tests {
         let end = bytes.len() as u32;
         let mut t = NativeTier::new(2);
         t.arm();
-        t.sync(1, 0, end);
+        t.sync(1, end);
         // Pretend a header at "end" would precede the body; count the
         // body via its return-pc side.
         t.note_call(0, 1); // header idx 0 counts, probe = PROC_HEADER_BYTES (off-map ok)
@@ -847,8 +845,8 @@ mod tests {
         assert_eq!(t.stats().compiled_procs, 1);
         assert!(t.locate(0).is_some());
         assert!(t.locate(1).is_none(), "mid-instruction bytes don't enter");
-        // A key change flushes bodies but keeps counts.
-        t.sync(2, 0, end);
+        // A code-version change flushes bodies but keeps counts.
+        t.sync(2, end);
         assert_eq!(t.stats().compiled_procs, 0);
         assert_eq!(t.count_of(0), 2);
         assert_eq!(t.stats().flushes, 1);
@@ -898,7 +896,7 @@ mod tests {
     fn refused_probes_do_not_requeue() {
         let mut t = NativeTier::new(1);
         t.arm();
-        t.sync(1, 0, 8);
+        t.sync(1, 8);
         t.note_call(100, 4); // header out of counts range is ignored; site 4 counts
         assert!(t.has_pending());
         for probe in t.take_pending() {

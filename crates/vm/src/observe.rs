@@ -13,7 +13,7 @@
 //! observed effect must be covered by the `fpc-verify` static summary
 //! of some procedure reachable from the entry (or that summary must be
 //! ⊤). `tests/effect_soundness.rs` asserts this corpus-wide across
-//! seeds and all five dispatch rungs.
+//! seeds and all three dispatch rungs.
 //!
 //! [`MachineConfig::observe_effects`]: crate::MachineConfig::observe_effects
 

@@ -221,12 +221,10 @@ pub struct PredecodeStats {
 pub struct PredecodeCache {
     version: u64,
     map: Vec<DecodedOp>,
-    /// Fusion overlay, same length as `map` when fusion is on:
-    /// `fused[offset]` pairs the op at `offset` with its successor
+    /// Fusion overlay, same length as `map`: `fused[offset]` pairs the op at `offset` with its successor
     /// (`len_b == 0` means unfused). Keyed at the first op only — the
     /// second op stays in `map` at its own offset for jump targets.
     fused: Vec<FusedOp>,
-    fuse: bool,
     fused_pairs: usize,
     translated: usize,
     stats: PredecodeStats,
@@ -239,19 +237,13 @@ const EMPTY: DecodedOp = DecodedOp {
 };
 
 impl PredecodeCache {
-    /// An empty cache; coherent with an empty, never-mutated store.
+    /// An empty cache that fuses hot 2-op pairs during eager
+    /// translation; coherent with an empty, never-mutated store.
     pub fn new() -> Self {
-        Self::with_fusion(false)
-    }
-
-    /// An empty cache that additionally fuses hot 2-op pairs during
-    /// eager translation.
-    pub fn with_fusion(fuse: bool) -> Self {
         PredecodeCache {
             version: 0,
             map: Vec::new(),
             fused: Vec::new(),
-            fuse,
             fused_pairs: 0,
             translated: 0,
             stats: PredecodeStats::default(),
@@ -282,10 +274,8 @@ impl PredecodeCache {
         self.version = code.version();
         self.map.clear();
         self.map.resize(code.bytes().len(), EMPTY);
-        if self.fuse {
-            self.fused.clear();
-            self.fused.resize(code.bytes().len(), NO_FUSE);
-        }
+        self.fused.clear();
+        self.fused.resize(code.bytes().len(), NO_FUSE);
         self.fused_pairs = 0;
         self.translated = 0;
         self.stats.rebuilds += 1;
@@ -305,9 +295,7 @@ impl PredecodeCache {
             let Ok((off, instr, len)) = triple else { break };
             self.insert(off, instr, len);
             self.stats.eager_ops += 1;
-            if self.fuse {
-                run.push((off, instr, len as u8));
-            }
+            run.push((off, instr, len as u8));
         }
         // Greedy left-to-right peephole over the straight-line run:
         // each op joins at most one pair, and lazily-decoded stragglers
@@ -368,11 +356,9 @@ impl PredecodeCache {
         let i = offset as usize;
         if let Some(&op) = self.map.get(i) {
             if op.len != 0 {
-                if self.fuse {
-                    let f = self.fused[i];
-                    if f.len_b != 0 {
-                        return Ok(Fetched::Pair(op.instr, f));
-                    }
+                let f = self.fused[i];
+                if f.len_b != 0 {
+                    return Ok(Fetched::Pair(op.instr, f));
                 }
                 return Ok(Fetched::One(op.instr, op.len));
             }
@@ -484,7 +470,7 @@ mod tests {
             Instr::CmpLt,
             Instr::JumpZero(7),
         ]);
-        let mut cache = PredecodeCache::with_fusion(true);
+        let mut cache = PredecodeCache::new();
         cache.translate_range(&code, 0, code.len());
         assert_eq!(cache.fused_pairs(), 2);
         let Fetched::Pair(a, f) = cache.lookup_fused(&code, 0).unwrap() else {
@@ -522,18 +508,6 @@ mod tests {
         // (Drop, Drop): needs two on the stack.
         let f = fuse_pair(Instr::Drop, Instr::Drop, 1, 1).unwrap();
         assert_eq!((f.need, f.grow), (2, 0));
-    }
-
-    #[test]
-    fn fusion_off_cache_never_pairs() {
-        let code = store_with(&[Instr::LoadLocal(0), Instr::LoadImm(2)]);
-        let mut cache = PredecodeCache::new();
-        cache.translate_range(&code, 0, code.len());
-        assert_eq!(cache.fused_pairs(), 0);
-        assert!(matches!(
-            cache.lookup_fused(&code, 0).unwrap(),
-            Fetched::One(Instr::LoadLocal(0), 1)
-        ));
     }
 
     #[test]

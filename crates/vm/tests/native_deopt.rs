@@ -1,24 +1,23 @@
 //! Deoptimization tests for the tier-5 native compiler.
 //!
-//! Every event that lapses a check-elision certificate — trap-handler
+//! Every event that lapses a verifier certificate premise — trap-handler
 //! install, fault-handler install, module unbind, module relocation,
-//! procedure replacement — must also demote an *armed, mid-run* native
-//! machine back to the interpretive ladder, permanently, without
-//! perturbing one simulated counter. Each test here runs a recursive
-//! workload hot enough to compile, fires one re-arm hook in the middle,
-//! and holds the final machine state bit-identical to an
-//! all-accelerators-off reference given the same hook at the same
-//! simulated point. The license gate is tested from both directions:
+//! procedure replacement — must demote an *armed, mid-run* native
+//! machine back to interpretation, permanently, without perturbing one
+//! simulated counter. Each test here runs a recursive workload hot
+//! enough to compile, fires one lapsing hook in the middle, and holds
+//! the final machine state bit-identical to a byte-dispatch reference
+//! given the same hook at the same simulated point. The license gate is tested from both directions:
 //! no license → the tier never runs; lapsed premises → arming refuses.
 
 use fpc_isa::Instr;
 use fpc_vm::{
-    FaultKind, Image, ImageBuilder, Machine, MachineConfig, NativeLicense, ProcRef, ProcSpec,
-    VmError,
+    Dispatch, FaultKind, Image, ImageBuilder, Machine, MachineConfig, NativeLicense, ProcRef,
+    ProcSpec, VmError,
 };
 
 /// Every simulated-side observable, flattened through Debug (the same
-/// fingerprint the 5-rung parity suite uses).
+/// fingerprint the parity suite uses).
 fn fingerprint(m: &Machine) -> String {
     format!(
         "output={:?} stack={:?} stats={:?} mem={:?} rs={:?} banks={:?} cache={:?} heap={:?}",
@@ -33,23 +32,17 @@ fn fingerprint(m: &Machine) -> String {
     )
 }
 
-/// The native rung under test: full accelerator ladder plus the tier-5
-/// compiler with a low threshold so short runs go native quickly.
+/// The native rung under test, with a low threshold so short runs go
+/// native quickly.
 fn native_config() -> MachineConfig {
     MachineConfig::i2()
-        .with_predecode(true)
-        .with_inline_xfer(true)
-        .with_fusion(true)
-        .with_native_tier(true)
+        .with_dispatch(Dispatch::Native)
         .with_native_threshold(4)
 }
 
-/// The reference rung: every host accelerator off.
+/// The reference rung: byte dispatch.
 fn reference_config() -> MachineConfig {
-    MachineConfig::i2()
-        .with_predecode(false)
-        .with_inline_xfer(false)
-        .with_fusion(false)
+    MachineConfig::i2().with_dispatch(Dispatch::Byte)
 }
 
 /// A license generous enough for these tiny images. The verifier mints
@@ -151,7 +144,7 @@ fn finish_and_compare(mut native: Machine, mut reference: Machine, label: &str) 
     assert_eq!(
         fingerprint(&native),
         fingerprint(&reference),
-        "{label}: demoted run diverged from the all-off reference"
+        "{label}: demoted run diverged from the byte reference"
     );
 }
 

@@ -1,43 +1,53 @@
 //! The hot interpretation paths must not allocate.
 //!
-//! The predecode lookup, the fused dispatch and the inline transfer
-//! cache are all hit once per simulated instruction; a host allocation
+//! The predecode lookup, the fused dispatch and the native bursts are
+//! hit once per simulated instruction; a host allocation
 //! anywhere on those paths would dwarf the work they save. These tests
 //! wrap the global allocator in a counter and assert that a *warm*
 //! machine — caches filled, capacities established — runs steady-state
 //! with zero host allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use fpc_isa::Instr;
 use fpc_mem::CodeStore;
 use fpc_vm::{
-    Image, ImageBuilder, Machine, MachineConfig, NativeLicense, PredecodeCache, ProcRef, ProcSpec,
-    VmError,
+    Dispatch, Image, ImageBuilder, Machine, MachineConfig, NativeLicense, PredecodeCache, ProcRef,
+    ProcSpec, VmError,
 };
 
 /// Pass-through allocator that counts every allocating entry point
-/// (alloc, alloc_zeroed, realloc — dealloc cannot allocate).
+/// (alloc, alloc_zeroed, realloc — dealloc cannot allocate) on the
+/// calling thread. The machine under test runs on the test's own
+/// thread; counting per thread keeps the test harness's allocations on
+/// its other threads (result bookkeeping for a test that just finished)
+/// out of the measurement window.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: allocations during thread teardown find no counter.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         System.dealloc(p, l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(p, l, n)
     }
 }
@@ -45,18 +55,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// Serialises the tests in this binary: the counter is process-global,
-/// so a concurrently-running test would bleed its allocations into
-/// another test's measurement window.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
+}
+
+/// Guards the guard: a per-thread counter that saw nothing would pass
+/// every test below vacuously.
+#[test]
+fn counter_sees_this_threads_allocations() {
+    let before = allocs();
+    drop(std::hint::black_box(vec![0u8; 16]));
+    assert_eq!(allocs() - before, 1);
 }
 
 #[test]
 fn warm_predecode_lookup_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A representative little run: locals, immediates, a compare, a
     // branch — enough shapes to populate both the flat map and the
     // fusion overlay.
@@ -78,7 +91,7 @@ fn warm_predecode_lookup_does_not_allocate() {
     let mut code = CodeStore::new();
     code.append(&bytes);
 
-    let mut cache = PredecodeCache::with_fusion(true);
+    let mut cache = PredecodeCache::new();
     cache.translate_range(&code, 0, code.len());
     // Warm every offset once (the fused overlay and the flat map are
     // both populated eagerly, but be paranoid about lazy stragglers).
@@ -113,7 +126,7 @@ fn warm_predecode_lookup_does_not_allocate() {
 }
 
 /// A call-dense image: main calls a tiny leaf forever. Exercises the
-/// full transfer path — fused dispatch, the inline XFER cache, frame
+/// full transfer path — fused dispatch, the entry-vector walk, frame
 /// allocation and return — in steady state.
 fn call_loop_image() -> Image {
     let mut b = ImageBuilder::new();
@@ -138,18 +151,16 @@ fn call_loop_image() -> Image {
 
 #[test]
 fn warm_machine_steps_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let image = call_loop_image();
     let mut m = Machine::load(&image, MachineConfig::i2()).unwrap();
-    // Warm-up: fills the predecode map, the fusion overlay, the inline
-    // transfer cache and the frame table, and settles every Vec at its
-    // steady-state capacity.
+    // Warm-up: fills the predecode map, the fusion overlay and the
+    // frame table, and settles every Vec at its steady-state capacity.
     assert!(
         matches!(m.run(20_000), Err(VmError::OutOfFuel)),
         "the loop must still be running"
     );
 
-    let ic0 = m.xfer_cache_stats().expect("IC on under i2");
+    let calls0 = m.stats().transfers.calls.count;
     let fused0 = m.fusion_stats().expect("fusion on under i2").fused_execs;
     let instr0 = m.stats().instructions;
     let before = allocs();
@@ -161,9 +172,11 @@ fn warm_machine_steps_do_not_allocate() {
     );
 
     // Prove the window actually exercised the accelerated paths.
-    let ic = m.xfer_cache_stats().unwrap();
     assert!(m.stats().instructions > instr0);
-    assert!(ic.hits > ic0.hits, "the transfer cache must be hitting");
+    assert!(
+        m.stats().transfers.calls.count > calls0,
+        "calls must be executing"
+    );
     assert!(
         m.fusion_stats().unwrap().fused_execs > fused0,
         "fused pairs must be executing"
@@ -172,10 +185,9 @@ fn warm_machine_steps_do_not_allocate() {
 
 #[test]
 fn warm_native_bursts_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let image = call_loop_image();
     let cfg = MachineConfig::i2()
-        .with_native_tier(true)
+        .with_dispatch(Dispatch::Native)
         .with_native_threshold(4);
     let mut m = Machine::load(&image, cfg).unwrap();
     assert!(

@@ -30,7 +30,7 @@ pub mod programs;
 pub mod traces;
 
 use fpc_compiler::{compile, CompileError, Compiled, Options};
-use fpc_vm::{Machine, MachineConfig, VmError};
+use fpc_vm::{Dispatch, Machine, MachineConfig, VmError};
 
 /// Broad behaviour class, used by experiments to slice results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,7 +96,7 @@ pub fn run_workload(
     options.bank_args = config.renaming();
     let compiled = compile_workload(w, options).map_err(|e| VmError::BadImage(e.to_string()))?;
     let mut m = Machine::load(&compiled.image, config)?;
-    if config.native {
+    if config.dispatch == Dispatch::Native {
         // The native tier runs only under a verifier license; the
         // whole corpus verifies clean, so this arms everywhere. A
         // dirty image simply stays on the interpreted rungs.

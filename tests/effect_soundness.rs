@@ -8,11 +8,14 @@
 //! charge-free observation journal ([`ObservedEffects`]), recorded at
 //! the same granularity — global footprints per code segment, effect
 //! flags per category. The inclusion `observed ⊆ static` must hold for
-//! the whole corpus, on every one of the five dispatch rungs, across
+//! the whole corpus, on every one of the three dispatch rungs, across
 //! machine presets and seeded preemption schedules: acceleration and
 //! slicing may change *when* an effect happens, never whether the
 //! summary predicted it.
 
+mod common;
+
+use common::ladder;
 use fpc_compiler::Options;
 use fpc_isa::Instr;
 use fpc_rng::Rng;
@@ -21,44 +24,6 @@ use fpc_vm::{
     Image, ImageBuilder, Machine, MachineConfig, ObservedEffects, ProcRef, ProcSpec, VmError,
 };
 use fpc_workloads::{compile_workload, corpus};
-
-/// The five host dispatch rungs, native last.
-fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 5] {
-    [
-        (
-            "byte",
-            base.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode",
-            base.with_predecode(true)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic_fuse",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true),
-        ),
-        (
-            "native",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true)
-                .with_native_tier(true)
-                .with_native_threshold(4),
-        ),
-    ]
-}
 
 /// Checks `obs ⊆ sum`: every observed effect is predicted by the
 /// summary (or the summary is `⊤`). Returns what leaked, if anything.
@@ -108,16 +73,7 @@ fn check_included(obs: &ObservedEffects, sum: &EffectSummary) -> Result<(), Stri
 /// Loads, arms native when the rung has one, and runs under
 /// observation; returns the halted machine.
 fn run_observed(image: &Image, cfg: MachineConfig, fuel: u64) -> Machine {
-    let cfg = cfg.with_observe_effects(true);
-    let mut m = Machine::load(image, cfg).expect("loads");
-    if cfg.native {
-        let report = verify_image(image, &VerifyOptions::for_config(&cfg));
-        let license = report
-            .certificate()
-            .expect("corpus verifies clean")
-            .native_license();
-        assert!(m.arm_native(license), "license must arm");
-    }
+    let mut m = common::load(image, cfg.with_observe_effects(true));
     m.run(fuel).expect("runs to completion");
     m
 }
@@ -166,11 +122,7 @@ fn observation_is_charge_free() {
         let compiled = compile_workload(&w, Options::default()).expect("compiles");
         for (rname, cfg) in ladder(MachineConfig::i2()) {
             let observed = run_observed(&compiled.image, cfg, w.fuel);
-            let mut plain = Machine::load(&compiled.image, cfg).expect("loads");
-            if cfg.native {
-                let report = verify_image(&compiled.image, &VerifyOptions::for_config(&cfg));
-                plain.arm_native(report.certificate().expect("clean").native_license());
-            }
+            let mut plain = common::load(&compiled.image, cfg);
             plain.run(w.fuel).expect("runs");
             assert_eq!(
                 observed.stats().cycles,
@@ -207,12 +159,7 @@ fn observed_effects_stable_under_seeded_slicing() {
         let want = whole.observed_effects().expect("armed").clone();
         for seed in [41u64, 42, 43] {
             let mut rng = Rng::seed_from_u64(seed);
-            let ocfg = cfg.with_observe_effects(true);
-            let mut m = Machine::load(&compiled.image, ocfg).expect("loads");
-            if ocfg.native {
-                let r = verify_image(&compiled.image, &VerifyOptions::for_config(&ocfg));
-                assert!(m.arm_native(r.certificate().expect("clean").native_license()));
-            }
+            let mut m = common::load(&compiled.image, cfg.with_observe_effects(true));
             loop {
                 match m.run(1 + rng.next_u64() % 97) {
                     Ok(()) => break,

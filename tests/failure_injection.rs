@@ -4,7 +4,9 @@
 //! most of this file exercises the other half of the contract: faults
 //! with handlers installed are *survivable*, restartable, and
 //! precisely accounted, on every implementation (I1–I4) and every host
-//! dispatch rung.
+//! dispatch rung. The native rung is left unarmed here: installing a
+//! fault handler lapses the verifier certificate anyway, so that rung
+//! runs the tiered loop's interpreted path.
 //!
 //! The differential tests are the heart: a run that weathers injected
 //! heap pressure must end with the same output and — after subtracting
@@ -12,11 +14,14 @@
 //! instruction, cycle, reference and jump counters as the undisturbed
 //! run, bit for bit.
 
+mod common;
+
+use common::ladder;
 use fpc_compiler::{compile, Options};
 use fpc_isa::Instr;
 use fpc_rng::Rng;
 use fpc_vm::{
-    run_with_plan, FaultEvent, FaultKind, FaultPlan, Image, ImageBuilder, Machine, MachineConfig,
+    run_with_plan, Dispatch, FaultKind, FaultPlan, Image, ImageBuilder, Machine, MachineConfig,
     ProcRef, ProcSpec, StepOutcome, TrapCode, VmError,
 };
 use fpc_workloads::{compile_workload, corpus};
@@ -29,38 +34,6 @@ fn run_src(src: &str, config: MachineConfig) -> Result<Machine, VmError> {
     let mut m = Machine::load(&compiled.image, config)?;
     m.run(FUEL)?;
     Ok(m)
-}
-
-/// The four host dispatch rungs. Simulated counters are bit-identical
-/// across them by construction; these tests additionally pin down that
-/// *fault behaviour* — codes, recovery, accounting — is too.
-fn rungs(base: MachineConfig) -> [(&'static str, MachineConfig); 4] {
-    [
-        (
-            "byte",
-            base.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode",
-            base.with_predecode(true)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic_fuse",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true),
-        ),
-    ]
 }
 
 fn implementations() -> [(&'static str, MachineConfig); 4] {
@@ -335,7 +308,7 @@ fn frame_exhaustion_error_is_identical_on_every_rung() {
             // machine here (covered by the assembled-image tests).
             continue;
         }
-        for (rname, cfg) in rungs(base) {
+        for (rname, cfg) in ladder(base) {
             let err = run_src(src, cfg).unwrap_err();
             assert_eq!(
                 err,
@@ -349,7 +322,7 @@ fn frame_exhaustion_error_is_identical_on_every_rung() {
 #[test]
 fn unbound_module_error_is_identical_on_every_rung() {
     for (iname, base) in implementations() {
-        for (rname, cfg) in rungs(base) {
+        for (rname, cfg) in ladder(base) {
             let (image, _) = fault_image(8, base.renaming(), Handler::Trivial);
             let mut m = Machine::load(&image, cfg).unwrap();
             m.unbind_module(0).unwrap();
@@ -362,7 +335,7 @@ fn unbound_module_error_is_identical_on_every_rung() {
 #[test]
 fn stack_overflow_error_is_identical_on_every_rung() {
     for (iname, base) in implementations() {
-        for (rname, cfg) in rungs(base) {
+        for (rname, cfg) in ladder(base) {
             let (image, _) = overflow_image(20, base.renaming());
             let mut m = Machine::load(&image, cfg).unwrap();
             let err = m.run(FUEL).unwrap_err();
@@ -602,7 +575,7 @@ fn recovered_runs_are_differentially_identical_across_seeds_and_rungs() {
         let mut rng = Rng::seed_from_u64(seed);
         let delta = 5 + rng.next_u64() % 32;
         let mut fingerprints = Vec::new();
-        for (rname, cfg) in rungs(MachineConfig::i2().with_fault_reserve(512)) {
+        for (rname, cfg) in ladder(MachineConfig::i2().with_fault_reserve(512)) {
             let label = format!("seed {seed} delta={delta} rung {rname}");
             let mut base = Machine::load(&image, cfg).unwrap();
             base.run(FUEL).unwrap();
@@ -642,42 +615,18 @@ fn recovered_runs_are_differentially_identical_on_i1_and_i3() {
     }
 }
 
-/// Generation storms (same-value rewrites of watched table words) bump
-/// cache generations without changing architecture: every counter —
-/// not just the adjusted ones — must match the undisturbed run, on
-/// every rung. This is the charge-not-perform contract of the inline
-/// caches under revalidation pressure.
-#[test]
-fn generation_storms_perturb_no_counter() {
-    let (image, _) = fault_image(24, false, Handler::Trivial);
-    let plan = FaultPlan::from_events(vec![
-        FaultEvent::GenStorm { at: 10, writes: 5 },
-        FaultEvent::GenStorm { at: 60, writes: 9 },
-        FaultEvent::GenStorm { at: 200, writes: 3 },
-    ]);
-    for (rname, cfg) in rungs(MachineConfig::i3()) {
-        let mut clean = Machine::load(&image, cfg).unwrap();
-        clean.run(FUEL).unwrap();
-        let mut m = Machine::load(&image, cfg).unwrap();
-        let report = run_with_plan(&mut m, &plan, FUEL).unwrap_or_else(|e| panic!("{rname}: {e}"));
-        assert_eq!(report.storm_writes, 17, "{rname}");
-        assert_eq!(m.fault_stats(), Default::default(), "{rname}: no faults");
-        assert_eq!(adjusted(&m), adjusted(&clean), "{rname}");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Resumability: running out of fuel is a pause, not a death.
 // ---------------------------------------------------------------------
 
 /// A run chopped into 97-instruction slices by `OutOfFuel` pauses ends
 /// bit-identical to the uninterrupted run — stats, output, and the
-/// host-side cache statistics included.
+/// host-side fusion statistics included.
 #[test]
 fn paused_and_resumed_runs_are_bit_identical() {
     let w = corpus().into_iter().find(|w| w.name == "fib").unwrap();
     let compiled = compile_workload(&w, Options::default()).unwrap();
-    for (rname, cfg) in rungs(MachineConfig::i3()) {
+    for (rname, cfg) in ladder(MachineConfig::i3()) {
         let mut whole = Machine::load(&compiled.image, cfg).unwrap();
         whole.run(w.fuel).unwrap();
         let mut sliced = Machine::load(&compiled.image, cfg).unwrap();
@@ -705,11 +654,6 @@ fn paused_and_resumed_runs_are_bit_identical() {
             "{rname}"
         );
         assert_eq!(sliced.total_refs(), whole.total_refs(), "{rname}");
-        assert_eq!(
-            format!("{:?}", sliced.xfer_cache_stats()),
-            format!("{:?}", whole.xfer_cache_stats()),
-            "{rname}"
-        );
         assert_eq!(
             format!("{:?}", sliced.fusion_stats()),
             format!("{:?}", whole.fusion_stats()),
@@ -757,7 +701,7 @@ fn pauses_interleave_with_fault_recovery() {
 // ---------------------------------------------------------------------
 
 /// Deterministic chaos over the corpus: seeded plans of pressure
-/// windows, unbinds and storms against machines with no handlers
+/// windows and unbinds against machines with no handlers
 /// installed. Any `Result` is acceptable; a host panic is the only
 /// failure.
 #[test]
@@ -845,7 +789,7 @@ fn table_scribbling_guests_fail_with_typed_errors() {
                 ev_index: 0,
             })
             .unwrap();
-        for (_rname, cfg) in rungs(MachineConfig::i2()) {
+        for (_rname, cfg) in ladder(MachineConfig::i2()) {
             let mut machine = Machine::load(&image, cfg).unwrap();
             let r = machine.run(100_000);
             if let Err(e) = r {
@@ -864,10 +808,10 @@ fn table_scribbling_guests_fail_with_typed_errors() {
 
 /// Seeded single-byte mutations of every verified corpus image: each
 /// mutant must either fail verification, or — if it still certifies —
-/// load and run (with check elision licensed by that certificate!) to
-/// completion or a typed [`VmError`]. Rejected mutants are also run on
-/// the unverified machine to confirm the dynamic checks degrade to
-/// typed errors too. A host panic anywhere fails this test.
+/// load and run (with the native tier armed under that certificate's
+/// license!) to completion or a typed [`VmError`]. Rejected mutants are
+/// also run on the interpreted machine to confirm the dynamic checks
+/// degrade to typed errors too. A host panic anywhere fails this test.
 #[test]
 fn single_byte_mutants_are_rejected_or_fail_typed() {
     use fpc_verify::{verify_image, VerifyOptions};
@@ -887,16 +831,18 @@ fn single_byte_mutants_are_rejected_or_fail_typed() {
             let at = (rng.next_u64() % img.code.len() as u64) as usize;
             // XOR with a nonzero mask so the byte always changes.
             img.code[at] ^= (rng.next_u64() as u8) | 1;
-            let verdict = verify_image(&img, &opts);
-            let config = if verdict.is_ok() {
-                // Still certified: the certificate must be safe to act
-                // on — run with the dynamic checks elided.
-                MachineConfig::i3().with_verified_images(true)
-            } else {
-                MachineConfig::i3()
+            let cert = verify_image(&img, &opts).certificate();
+            // Still certified: the certificate must be safe to act on —
+            // run natively under its license.
+            let dispatch = match cert {
+                Some(_) => Dispatch::Native,
+                None => Dispatch::Fused,
             };
-            match Machine::load(&img, config) {
+            match Machine::load(&img, MachineConfig::i3().with_dispatch(dispatch)) {
                 Ok(mut m) => {
+                    if let Some(cert) = &cert {
+                        m.arm_native(cert.native_license());
+                    }
                     if let Err(e) = m.run(MUTANT_FUEL) {
                         let _ = e.to_string(); // typed, displayable
                     }

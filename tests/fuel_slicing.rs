@@ -4,8 +4,8 @@
 //! `fpc-sched` preempts machines at arbitrary fuel boundaries and
 //! resumes them on arbitrary workers. That is sound only if a run
 //! split into slices `a + b + …` is *bit-identical* to the unsliced
-//! run — stats, output, references, cache statistics — on every rung
-//! of the five-level dispatch ladder, including a zero-length first
+//! run — stats, output, references, fusion statistics — on every rung
+//! of the three-level dispatch ladder, including a zero-length first
 //! slice and splits that land inside a fused pair or a native burst.
 //!
 //! The second half pins the same property for fault-injection plans:
@@ -13,74 +13,21 @@
 //! exactly once, so a sliced plan run matches the one-shot
 //! [`run_with_plan`] to the counter.
 
+mod common;
+
+use common::{ladder, load};
 use fpc_compiler::{Linkage, Options};
 use fpc_rng::Rng;
-use fpc_verify::{verify_image, VerifyOptions};
 use fpc_vm::{
-    run_with_plan, FaultEvent, FaultPlan, Image, Machine, MachineConfig, PlanCursor, VmError,
+    run_with_plan, Dispatch, FaultEvent, FaultPlan, Image, Machine, MachineConfig, PlanCursor,
+    VmError,
 };
 use fpc_workloads::{compile_workload, programs};
 
 const FUEL: u64 = 50_000_000;
 
-/// The five host dispatch rungs, native last. The native rung's
-/// threshold is low so bursts begin early and random splits land
-/// inside them.
-fn ladder(base: MachineConfig) -> [(&'static str, MachineConfig); 5] {
-    [
-        (
-            "byte",
-            base.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode",
-            base.with_predecode(true)
-                .with_inline_xfer(false)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        (
-            "predecode_ic_fuse",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true),
-        ),
-        (
-            "native",
-            base.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(true)
-                .with_native_tier(true)
-                .with_native_threshold(4),
-        ),
-    ]
-}
-
-/// Loads a machine on `cfg`, arming the native tier when the rung has
-/// one (the image must verify clean — fib does).
-fn load(image: &Image, cfg: MachineConfig) -> Machine {
-    let mut m = Machine::load(image, cfg).expect("loads");
-    if cfg.native {
-        let report = verify_image(image, &VerifyOptions::for_config(&cfg));
-        let license = report
-            .certificate()
-            .expect("fib verifies clean")
-            .native_license();
-        assert!(m.arm_native(license), "license must arm");
-    }
-    m
-}
-
-/// Everything slicing must preserve: architectural state and the
-/// inline-cache statistics. On interpreted rungs the fusion counters
-/// are included too. The native rung's *tier occupancy* counters
+/// Everything slicing must preserve: architectural state, plus the
+/// fusion counters on interpreted rungs. The native rung's *tier occupancy* counters
 /// (burst entries, native vs interpreted instruction shares) are
 /// deliberately excluded: a pause exits a burst, so where preemption
 /// lands changes which tier retires an instruction — but never what
@@ -93,13 +40,12 @@ fn fingerprint(m: &Machine, include_tier: bool) -> String {
         String::new()
     };
     format!(
-        "instr={} cycles={} jumps={} refs={} out={:?} xfer={:?}{}",
+        "instr={} cycles={} jumps={} refs={} out={:?}{}",
         m.stats().instructions,
         m.stats().cycles,
         m.stats().jumps_taken,
         m.total_refs(),
         m.output(),
-        m.xfer_cache_stats(),
         tier,
     )
 }
@@ -127,7 +73,7 @@ fn any_two_slice_split_is_bit_identical_on_every_rung() {
         let mut whole = load(&image, cfg);
         whole.run(FUEL).unwrap();
         let total = whole.stats().instructions;
-        let tier = !cfg.native;
+        let tier = cfg.dispatch != Dispatch::Native;
         let want = fingerprint(&whole, tier);
 
         // An exact-fuel one-shot run must also halt cleanly: fuel
@@ -178,7 +124,7 @@ fn random_slice_schedules_are_bit_identical_on_every_rung() {
     for (rname, cfg) in ladder(MachineConfig::i3()) {
         let mut whole = load(&image, cfg);
         whole.run(FUEL).unwrap();
-        let tier = !cfg.native;
+        let tier = cfg.dispatch != Dispatch::Native;
         let want = fingerprint(&whole, tier);
         for seed in [1u64, 2, 3] {
             let mut rng = Rng::seed_from_u64(seed);
@@ -200,31 +146,37 @@ fn random_slice_schedules_are_bit_identical_on_every_rung() {
     }
 }
 
-/// A generation-storm plan applied through a [`PlanCursor`] in fuel
-/// slices fires each event exactly once and matches the one-shot
+/// Same-instant seize/release pairs. On I1's coalescing general heap
+/// the release restores the free list exactly, so a handler-free run
+/// survives every window; the seize/release references are real
+/// counted traffic all the same.
+fn pressure_blips(ats: &[u64]) -> FaultPlan {
+    FaultPlan::from_events(
+        ats.iter()
+            .flat_map(|&at| {
+                [
+                    FaultEvent::FramePressure { at },
+                    FaultEvent::ReleasePressure { at },
+                ]
+            })
+            .collect(),
+    )
+}
+
+/// A pressure plan applied through a [`PlanCursor`] in fuel slices
+/// fires each event exactly once and matches the one-shot
 /// [`run_with_plan`] bit-for-bit — preempting mid-plan neither drops
 /// nor re-fires events.
 #[test]
 fn sliced_plan_runs_match_one_shot_plan_runs() {
     let image = fib_image();
-    let plan = FaultPlan::from_events(vec![
-        FaultEvent::GenStorm { at: 10, writes: 3 },
-        FaultEvent::GenStorm { at: 997, writes: 7 },
-        FaultEvent::GenStorm {
-            at: 5_000,
-            writes: 1,
-        },
-        FaultEvent::GenStorm {
-            at: 5_001,
-            writes: 9,
-        },
-    ]);
-    for (rname, cfg) in ladder(MachineConfig::i3()) {
+    let plan = pressure_blips(&[10, 997, 5_000, 5_001]);
+    for (rname, cfg) in ladder(MachineConfig::i1()) {
         let mut oneshot = load(&image, cfg);
         let report = run_with_plan(&mut oneshot, &plan, FUEL).unwrap();
-        assert_eq!(report.applied, 4, "{rname}");
-        assert_eq!(report.storm_writes, 20, "{rname}");
-        let tier = !cfg.native;
+        assert_eq!(report.applied, 8, "{rname}");
+        assert!(report.frames_seized > 0, "{rname}");
+        let tier = cfg.dispatch != Dispatch::Native;
         let want = fingerprint(&oneshot, tier);
 
         for quantum in [1u64, 97, 4096] {
@@ -251,17 +203,16 @@ fn sliced_plan_runs_match_one_shot_plan_runs() {
 #[test]
 fn plan_cursor_does_not_refire_applied_events_across_pauses() {
     let image = fib_image();
-    let plan = FaultPlan::from_events(vec![FaultEvent::GenStorm { at: 5, writes: 2 }]);
-    let cfg = MachineConfig::i3();
+    let cfg = MachineConfig::i1();
     let mut m = load(&image, cfg);
-    let mut cursor = PlanCursor::new(plan);
-    // Pause long after the event fired…
+    let mut cursor = PlanCursor::new(pressure_blips(&[5]));
+    // Pause long after the events fired…
     assert!(matches!(cursor.run(&mut m, 1_000), Err(VmError::OutOfFuel)));
-    assert_eq!(cursor.report().applied, 1);
-    assert_eq!(cursor.report().storm_writes, 2);
+    let fired = cursor.report();
+    assert_eq!(fired.applied, 2);
+    assert!(fired.frames_seized > 0);
     assert!(cursor.exhausted());
-    // …and resume: the event must not fire again.
+    // …and resume: the events must not fire again.
     cursor.run(&mut m, FUEL).unwrap();
-    assert_eq!(cursor.report().applied, 1);
-    assert_eq!(cursor.report().storm_writes, 2);
+    assert_eq!(cursor.report(), fired);
 }

@@ -1,16 +1,19 @@
-//! Differential tests for the host-side acceleration layers.
+//! Differential tests for the host-side dispatch modes.
 //!
-//! The predecode cache, the inline transfer caches and superinstruction
-//! fusion are host-side optimisations only: a run using any combination
-//! of them must be **bit-identical** in every simulated respect —
-//! outputs, instruction/cycle/jump counters, memory-reference counters,
+//! Fused predecode and the native tier are host-side optimisations
+//! only: a run under any [`fpc_vm::Dispatch`] mode must be
+//! **bit-identical** in every simulated respect — outputs,
+//! instruction/cycle/jump counters, memory-reference counters,
 //! per-transfer-kind statistics, return stack, bank, frame-cache and
-//! heap statistics — to a run re-parsing the code bytes on every step
-//! with every accelerator off. These tests enforce that over the whole
-//! corpus on all four machine configurations, and across mid-run code
-//! mutation (module relocation and procedure replacement), where a
-//! stale cache would be most tempting and most wrong.
+//! heap statistics — to a run re-parsing the code bytes on every step.
+//! These tests enforce that over the whole corpus on all four machine
+//! configurations, and across mid-run mutation (module relocation,
+//! procedure replacement, a guest store rebinding a link-vector slot),
+//! where a stale cache would be most tempting and most wrong.
 
+mod common;
+
+use common::ladder;
 use fpc_isa::Instr;
 use fpc_vm::{Image, ImageBuilder, Machine, MachineConfig, ProcRef, ProcSpec, StepOutcome};
 use fpc_workloads::{corpus, run_workload};
@@ -41,38 +44,10 @@ fn all_configs() -> [(&'static str, MachineConfig); 4] {
     ]
 }
 
-/// The acceleration ladder, weakest first. Element 0 (everything off)
-/// is the reference every other rung must match bit-for-bit. The top
-/// rung adds tier-5 native execution with a low compile threshold so
-/// even short corpus runs spend time in compiled bodies.
-fn ladder(c: MachineConfig) -> [(&'static str, MachineConfig); 5] {
-    let off = c.with_inline_xfer(false).with_fusion(false);
-    let full = c
-        .with_predecode(true)
-        .with_inline_xfer(true)
-        .with_fusion(true);
-    [
-        ("byte", off.with_predecode(false)),
-        ("predecode", off.with_predecode(true)),
-        (
-            "predecode+ic",
-            c.with_predecode(true)
-                .with_inline_xfer(true)
-                .with_fusion(false),
-        ),
-        ("predecode+ic+fuse", full),
-        (
-            "predecode+ic+fuse+native",
-            full.with_native_tier(true).with_native_threshold(4),
-        ),
-    ]
-}
-
 #[test]
 fn corpus_counters_identical_across_decode_paths() {
     let corpus = corpus();
     assert_eq!(corpus.len(), 17, "parity must cover the whole corpus");
-    let mut ic_hits = 0u64;
     let mut fused = 0u64;
     let mut native_instrs = 0u64;
     for w in &corpus {
@@ -108,13 +83,11 @@ fn corpus_counters_identical_across_decode_paths() {
                 w.name
             );
             assert!(runs[0].1.predecode_stats().is_none(), "cache is off");
-            assert!(runs[1].1.xfer_cache_stats().is_none(), "ic is off");
-            assert!(runs[1].1.fusion_stats().is_none(), "fusion is off");
-            let top = &runs[3].1;
-            ic_hits += top.xfer_cache_stats().expect("ic is on").hits;
+            assert!(runs[0].1.fusion_stats().is_none(), "fusion is off");
+            let top = &runs[1].1;
             fused += top.fusion_stats().expect("fusion is on").fused_execs;
             assert!(top.native_stats().is_none(), "native tier is off");
-            let nstats = runs[4].1.native_stats().expect("native tier is on");
+            let nstats = runs[2].1.native_stats().expect("native tier is on");
             assert!(
                 nstats.armed,
                 "{} on {name}: the corpus verifies clean, so the license arms",
@@ -124,10 +97,6 @@ fn corpus_counters_identical_across_decode_paths() {
         }
     }
     assert!(
-        ic_hits > 0,
-        "the corpus must actually exercise inline-cache hits"
-    );
-    assert!(
         fused > 0,
         "the corpus must actually execute fused superinstructions"
     );
@@ -135,6 +104,37 @@ fn corpus_counters_identical_across_decode_paths() {
         native_instrs > 0,
         "the corpus must actually retire native-compiled instructions"
     );
+}
+
+/// The mid-run mutation loop: runs `image` through `run` on every rung
+/// of the ladder over I2 and I3, and asserts each rung reproduces the
+/// byte-decoded reference run bit for bit. Returns each config's runs,
+/// reference first, for mutation-specific cache assertions.
+fn assert_mutation_parity(
+    what: &str,
+    image: &Image,
+    expected: &[u16],
+    run: fn(&Image, MachineConfig) -> Machine,
+) -> Vec<Vec<(&'static str, Machine)>> {
+    [MachineConfig::i2(), MachineConfig::i3()]
+        .into_iter()
+        .map(|config| {
+            let runs: Vec<(&str, Machine)> = ladder(config)
+                .into_iter()
+                .map(|(rung, cfg)| (rung, run(image, cfg)))
+                .collect();
+            let reference = fingerprint(&runs[0].1);
+            assert_eq!(runs[0].1.output(), expected, "{what}");
+            for (rung, m) in &runs[1..] {
+                assert_eq!(
+                    fingerprint(m),
+                    reference,
+                    "{what} under {config:?} diverged on {rung}"
+                );
+            }
+            runs
+        })
+        .collect()
 }
 
 /// tri(n) recursion whose main calls it five times — long enough to
@@ -177,9 +177,9 @@ fn tri_image() -> Image {
 /// Steps to completion, relocating module 0 every ~500 *instructions*.
 /// Pacing by the instruction counter (a fused step retires two) keeps
 /// the mutation points aligned in simulated time across every rung of
-/// the acceleration ladder.
+/// the dispatch ladder.
 fn run_with_relocations(image: &Image, config: MachineConfig) -> Machine {
-    let mut machine = Machine::load(image, config).unwrap();
+    let mut machine = common::load(image, config);
     let mut last_move = 0u64;
     let mut moves = 0;
     loop {
@@ -203,31 +203,15 @@ fn run_with_relocations(image: &Image, config: MachineConfig) -> Machine {
 #[test]
 fn relocation_mid_run_preserves_counters() {
     let image = tri_image();
-    for config in [MachineConfig::i2(), MachineConfig::i3()] {
-        let runs: Vec<(&str, Machine)> = ladder(config)
-            .into_iter()
-            .map(|(rung, cfg)| (rung, run_with_relocations(&image, cfg)))
-            .collect();
-        let reference = fingerprint(&runs[0].1);
-        assert_eq!(runs[0].1.output(), &[820, 820, 820, 820, 820]);
-        for (rung, m) in &runs[1..] {
-            assert_eq!(
-                fingerprint(m),
-                reference,
-                "relocation under {config:?} diverged on {rung}"
-            );
-        }
+    let expected = [820; 5];
+    for runs in assert_mutation_parity("relocation", &image, &expected, run_with_relocations) {
         let ps = runs[1].1.predecode_stats().unwrap();
         assert!(
             ps.rebuilds >= 3,
             "each relocation re-keys the cache: {ps:?}"
         );
-        let ic = runs[3].1.xfer_cache_stats().unwrap();
-        assert!(
-            ic.invalidations >= 3,
-            "each relocation flushes the populated transfer cache: {ic:?}"
-        );
-        assert!(ic.hits > 0, "steady-state calls still hit: {ic:?}");
+        let ns = runs[2].1.native_stats().unwrap();
+        assert!(!ns.armed, "moving code lapses the certificate: {ns:?}");
     }
 }
 
@@ -259,7 +243,7 @@ fn replace_image() -> Image {
 }
 
 fn run_with_replacement(image: &Image, config: MachineConfig) -> Machine {
-    let mut machine = Machine::load(image, config).unwrap();
+    let mut machine = common::load(image, config);
     while machine.output().len() < 2 {
         assert_eq!(machine.step().unwrap(), StepOutcome::Ran);
     }
@@ -281,28 +265,109 @@ fn run_with_replacement(image: &Image, config: MachineConfig) -> Machine {
 #[test]
 fn replacement_mid_run_preserves_counters() {
     let image = replace_image();
-    for config in [MachineConfig::i2(), MachineConfig::i3()] {
-        let runs: Vec<(&str, Machine)> = ladder(config)
-            .into_iter()
-            .map(|(rung, cfg)| (rung, run_with_replacement(&image, cfg)))
-            .collect();
-        let reference = fingerprint(&runs[0].1);
-        assert_eq!(runs[0].1.output(), &[11, 11, 30, 30]);
-        for (rung, m) in &runs[1..] {
-            assert_eq!(
-                fingerprint(m),
-                reference,
-                "replacement under {config:?} diverged on {rung}"
-            );
-        }
+    let expected = [11, 11, 30, 30];
+    for runs in assert_mutation_parity("replacement", &image, &expected, run_with_replacement) {
         // The replacement body must have been executed from the cache,
         // not just decoded lazily as a straggler.
         let ps = runs[1].1.predecode_stats().unwrap();
         assert!(ps.rebuilds >= 1, "{ps:?}");
-        let ic = runs[3].1.xfer_cache_stats().unwrap();
+    }
+}
+
+/// Calls through link-vector slot 0 in a loop, `f(x) = x+1` in a
+/// library module. On the seventh iteration the guest itself copies
+/// slot 1 (`g(x) = x*3`) over slot 0 with an ordinary indirect store,
+/// so every later `EFC` through slot 0 must reach `g`. By then the
+/// loop body is hot, so on the native rung the store and the next call
+/// both retire inside one compiled burst.
+fn link_rewrite_image() -> Image {
+    let mut b = ImageBuilder::new();
+    let lib = b.module("lib");
+    b.proc_with(lib, ProcSpec::new("f", 1, 1), |a| {
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::AddImm(1));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(lib, ProcSpec::new("g", 1, 1), |a| {
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(3));
+        a.instr(Instr::Mul);
+        a.instr(Instr::Ret);
+    });
+    let main = b.module("main");
+    let g0 = b.global(main, 0);
+    let lv_f = b.import(
+        main,
+        ProcRef {
+            module: 0,
+            ev_index: 0,
+        },
+    );
+    b.import(
+        main,
+        ProcRef {
+            module: 0,
+            ev_index: 1,
+        },
+    );
+    // Link-vector slot k sits at gf - 1 - k; global 0 at gf + 1.
+    let slot = move |a: &mut fpc_isa::Assembler, k: u16| {
+        a.instr(Instr::LoadGlobalAddr(g0));
+        a.instr(Instr::LoadImm(2 + k));
+        a.instr(Instr::Sub);
+    };
+    b.proc_with(main, ProcSpec::new("main", 0, 1), move |a| {
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::StoreLocal(0));
+        let top = a.label();
+        let call = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(6));
+        a.instr(Instr::CmpEq);
+        a.jump_zero(call);
+        slot(a, 1);
+        a.instr(Instr::Read);
+        slot(a, 0);
+        a.instr(Instr::Write);
+        a.bind(call);
+        a.instr(Instr::LoadImm(10));
+        a.instr(Instr::ExternalCall(lv_f));
+        a.instr(Instr::Out);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::AddImm(1));
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(12));
+        a.instr(Instr::CmpLt);
+        a.jump_not_zero(top);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 1,
+        ev_index: 0,
+    })
+    .unwrap()
+}
+
+fn run_link_rewrite(image: &Image, config: MachineConfig) -> Machine {
+    let mut machine = common::load(image, config);
+    machine.run(10_000).unwrap();
+    machine
+}
+
+#[test]
+fn link_rewrite_mid_run_reaches_the_new_target() {
+    let image = link_rewrite_image();
+    let mut expected = vec![11; 6];
+    expected.extend([30; 6]);
+    for runs in assert_mutation_parity("link rewrite", &image, &expected, run_link_rewrite) {
+        let ns = runs[2].1.native_stats().unwrap();
         assert!(
-            ic.invalidations >= 1,
-            "replacing a procedure flushes the transfer cache: {ic:?}"
+            ns.armed && ns.native_instrs > 0,
+            "a guest table store neither deopts nor bypasses the tier: {ns:?}"
         );
     }
 }

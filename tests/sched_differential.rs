@@ -21,10 +21,14 @@ use fpc_workloads::{compile_workload, programs};
 /// A call-dense mixed population: context `id` runs `fib(6 + id % 7)`
 /// with a per-context quantum drawn from a seeded RNG — quanta belong
 /// to contexts, not workers, so they are worker-count invariant. Every
-/// third context also carries a generation-storm fault plan, proving
-/// plans compose with preemption under real scheduling.
+/// third context also carries a fault plan of two same-instant
+/// seize/release pressure windows, proving plans compose with
+/// preemption under real scheduling. Those contexts run on I1, whose
+/// coalescing general heap gets every seized frame back on release, so
+/// the guest is never starved.
 fn population(count: u64, seed: u64) -> Population {
     let cfg = MachineConfig::i3().with_memory_words(2048);
+    let planned_cfg = MachineConfig::i1().with_memory_words(2048);
     let images: Arc<Vec<Image>> = Arc::new(
         (6..=12)
             .map(|n| {
@@ -42,20 +46,19 @@ fn population(count: u64, seed: u64) -> Population {
     );
     Population::from_factory(count, move |id, buf| {
         let image = &images[(id % images.len() as u64) as usize];
-        let m = Machine::load_in(image, cfg, buf).expect("fib loads");
+        let planned = id % 3 == 0;
+        let m = Machine::load_in(image, if planned { planned_cfg } else { cfg }, buf)
+            .expect("fib loads");
         let mut rng = Rng::seed_from_u64(seed ^ id);
         let quantum = 64 + rng.next_u64() % 512;
         let mut ctx = Context::new(id, m, FuelPolicy::Quantum(quantum));
-        if id % 3 == 0 {
+        if planned {
+            let (a, b) = (5 + rng.next_u64() % 200, 300 + rng.next_u64() % 500);
             let plan = FaultPlan::from_events(vec![
-                FaultEvent::GenStorm {
-                    at: 5 + rng.next_u64() % 200,
-                    writes: 1 + (id % 7) as u32,
-                },
-                FaultEvent::GenStorm {
-                    at: 300 + rng.next_u64() % 500,
-                    writes: 2,
-                },
+                FaultEvent::FramePressure { at: a },
+                FaultEvent::ReleasePressure { at: a },
+                FaultEvent::FramePressure { at: b },
+                FaultEvent::ReleasePressure { at: b },
             ]);
             ctx = ctx.with_plan(PlanCursor::new(plan));
         }

@@ -1,6 +1,6 @@
 //! End-to-end tests for the static verifier (`fpc-verify`).
 //!
-//! Three angles:
+//! Two angles:
 //!
 //! * **Completeness** — everything the compiler emits, over every
 //!   linkage and argument convention, must verify with zero
@@ -10,15 +10,13 @@
 //!   diagnostic class must be rejected, and the static stack bound
 //!   must dominate the dynamically observed depth (exactly, on
 //!   straight-line code).
-//! * **Elision parity** — running with `with_verified_images(true)`
-//!   must leave every simulated observable bit-identical on all four
-//!   machine presets and all four dispatch rungs; only host work may
-//!   change.
 
 use fpc_compiler::{compile, Linkage, Options};
 use fpc_isa::Instr;
 use fpc_verify::{verify_image, DiagKind, VerifyOptions, VerifyReport};
-use fpc_vm::{Image, ImageBuilder, Machine, MachineConfig, ProcRef, ProcSpec, StepOutcome};
+use fpc_vm::{
+    Dispatch, Image, ImageBuilder, Machine, MachineConfig, ProcRef, ProcSpec, StepOutcome,
+};
 use fpc_workloads::{compile_workload, corpus};
 
 fn verify_default(image: &Image) -> VerifyReport {
@@ -288,13 +286,10 @@ fn rejects_xfer_at_wrong_depth() {
 // Property: static bound dominates dynamic observation.
 // ---------------------------------------------------------------------
 
-/// Steps an image on an unaccelerated I2 machine, tracking the deepest
+/// Steps an image on a byte-dispatch I2 machine, tracking the deepest
 /// evaluation stack ever observed.
 fn dynamic_max_depth(image: &Image, fuel: u64) -> usize {
-    let config = MachineConfig::i2()
-        .with_predecode(false)
-        .with_inline_xfer(false)
-        .with_fusion(false);
+    let config = MachineConfig::i2().with_dispatch(Dispatch::Byte);
     let mut m = Machine::load(image, config).unwrap();
     let mut max = m.stack().len();
     for _ in 0..fuel {
@@ -350,93 +345,4 @@ fn static_bound_is_exact_on_straight_line_code() {
     let static_max = report.procs[0].max_stack.unwrap() as usize;
     assert_eq!(static_max, 3);
     assert_eq!(dynamic_max_depth(&image, 1000), static_max);
-}
-
-// ---------------------------------------------------------------------
-// Elision parity: verified-on vs. verified-off must be simulated-
-// bit-identical on every preset and every dispatch rung.
-// ---------------------------------------------------------------------
-
-/// Every simulated observable, flattened through Debug (same idea as
-/// the predecode parity ladder).
-fn fingerprint(m: &Machine) -> String {
-    format!(
-        "out={:?} halted={:?} stats={:?}",
-        m.output(),
-        m.halted(),
-        m.stats()
-    )
-}
-
-fn run_fingerprint(image: &Image, config: MachineConfig, fuel: u64) -> String {
-    let mut m = Machine::load(image, config).unwrap();
-    m.run(fuel).unwrap();
-    fingerprint(&m)
-}
-
-#[test]
-fn verified_elision_is_simulated_bit_identical() {
-    let rungs: [fn(MachineConfig) -> MachineConfig; 4] = [
-        |c| {
-            c.with_predecode(false)
-                .with_inline_xfer(false)
-                .with_fusion(false)
-        },
-        |c| c.with_inline_xfer(false).with_fusion(false),
-        |c| c.with_fusion(false),
-        |c| c,
-    ];
-    for w in corpus() {
-        for preset in [
-            MachineConfig::i1(),
-            MachineConfig::i2(),
-            MachineConfig::i3(),
-            MachineConfig::i4(),
-        ] {
-            let options = Options {
-                bank_args: preset.renaming(),
-                ..Default::default()
-            };
-            let compiled = compile_workload(&w, options).unwrap();
-            assert!(
-                verify_image(&compiled.image, &VerifyOptions::for_config(&preset)).is_ok(),
-                "{} must verify before elision is licensed",
-                w.name
-            );
-            for (ri, rung) in rungs.iter().enumerate() {
-                let base = rung(preset);
-                let plain = run_fingerprint(&compiled.image, base, w.fuel);
-                let elided =
-                    run_fingerprint(&compiled.image, base.with_verified_images(true), w.fuel);
-                assert_eq!(
-                    plain, elided,
-                    "{} on {preset:?} rung {ri}: elision changed simulated state",
-                    w.name
-                );
-            }
-        }
-    }
-}
-
-/// Installing a trap handler must re-arm the dynamic checks: the
-/// certificate does not cover handler execution depths.
-#[test]
-fn handler_install_rearms_checks() {
-    let w = corpus().into_iter().find(|w| w.name == "fib").unwrap();
-    let compiled = compile_workload(&w, Options::default()).unwrap();
-    let mut m = Machine::load(
-        &compiled.image,
-        MachineConfig::i2().with_verified_images(true),
-    )
-    .unwrap();
-    assert!(m.checks_elided());
-    m.set_trap_handler(
-        &compiled.image,
-        ProcRef {
-            module: 0,
-            ev_index: 0,
-        },
-    )
-    .unwrap();
-    assert!(!m.checks_elided(), "trap handler must re-arm checks");
 }
