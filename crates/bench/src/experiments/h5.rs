@@ -4,7 +4,7 @@
 //! `byte` re-decodes the code bytes on every step, `fused` dispatches
 //! from the predecoded stream with superinstructions, and `native`
 //! stops interpreting hot procedure bodies at all and runs them as
-//! chains of pre-monomorphized host handlers
+//! chains of the interpreter's own opcode handlers
 //! (`crates/vm/src/native.rs`). All three are identical in every
 //! simulated counter (`tests/predecode_parity.rs`).
 //!
@@ -74,7 +74,7 @@ pub struct Row {
     /// Instructions retired by fast native handlers in one run.
     pub native_instrs: u64,
     /// Instructions retired through the interpreter fallback inside
-    /// native bursts (calls, returns, traps, banked locals).
+    /// native bursts (calls, returns, traps and other fallible ops).
     pub interp_ops: u64,
     /// Bodies compiled by the end of one run.
     pub compiled_procs: usize,
@@ -288,11 +288,10 @@ pub fn report_and_json(p: Params) -> (String, String) {
             r.native_over_fused()
         ));
     }
-    // i4 is reported but judged separately: with register banks on,
-    // every local access diverts through bank shadows, so body ops
-    // fall back to the interpreter inside bursts and the native tier
-    // has little left to accelerate. On i1–i3 the body ops are the
-    // dispatch-bound slice the tier exists to remove.
+    // i4 is reported but judged separately: compiled bodies run its
+    // banked locals through the same handlers as the interpreter, but
+    // its calls and returns — which leave compiled code — carry bank
+    // activation and renaming, a larger share of its host time.
     let worst_i1_i3 = worst(&rows, |r| r.config != "i4");
     let worst_all = worst(&rows, |_| true);
     out.push_str(&format!(

@@ -420,8 +420,7 @@ impl<'a> Analysis<'a> {
             }
         };
         // Jump-edge helper: targets must be decoded boundaries inside
-        // the body; inside a fused pair's span only the pair's ops
-        // themselves are legal entries.
+        // the body.
         let jump =
             |target: i64, interval: (u32, u32), diags: &mut Vec<DiagKind>, succs: &mut Vec<_>| {
                 if target < p.body_start as i64 || target >= p.body_end as i64 {
@@ -434,10 +433,7 @@ impl<'a> Analysis<'a> {
                 } else if p.opaque.is_some_and(|o| t >= o) {
                     diags.push(DiagKind::Undecodable { at: t });
                 } else {
-                    diags.push(DiagKind::MidInstructionJump {
-                        target: t,
-                        in_fused_pair: p.inside_fused_pair(t),
-                    });
+                    diags.push(DiagKind::MidInstructionJump { target: t });
                 }
             };
 
@@ -730,7 +726,6 @@ impl<'a> Analysis<'a> {
             cycles,
             stack_limit: self.limit,
             xfer_residue: self.residue,
-            fused_pairs: self.d.fused_pairs,
             frame_words_bound: frame_bound,
             effects,
             safe_points,

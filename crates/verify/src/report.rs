@@ -128,10 +128,6 @@ pub enum DiagKind {
     MidInstructionJump {
         /// The absolute byte offset jumped to.
         target: u32,
-        /// True when the offset falls inside the byte span of a fused
-        /// superinstruction pair (entry at the pair's *second* op is a
-        /// legal singleton and is not flagged).
-        in_fused_pair: bool,
     },
     /// A jump leaving the procedure body entirely.
     JumpOutOfBody {
@@ -237,15 +233,8 @@ impl fmt::Display for DiagKind {
             DiagKind::BadDescriptor { word } => {
                 write!(f, "descriptor {word:#06x} names no procedure in the image")
             }
-            DiagKind::MidInstructionJump {
-                target,
-                in_fused_pair,
-            } => {
-                write!(f, "jump to {target:#06x} lands mid-instruction")?;
-                if *in_fused_pair {
-                    write!(f, " (inside a fused superinstruction pair)")?;
-                }
-                Ok(())
+            DiagKind::MidInstructionJump { target } => {
+                write!(f, "jump to {target:#06x} lands mid-instruction")
             }
             DiagKind::JumpOutOfBody { target } => {
                 write!(f, "jump to {target:#06x} leaves the procedure body")
@@ -392,9 +381,6 @@ pub struct VerifyReport {
     /// Words of transfer-residue headroom withheld from
     /// [`VerifyReport::stack_limit`] (0 for transfer-free images).
     pub xfer_residue: u32,
-    /// Number of fused superinstruction pairs the jump-target check
-    /// modelled (mirroring the VM's greedy pairing).
-    pub fused_pairs: usize,
     /// Total frame words of the deepest acyclic call chain from the
     /// entry, or `None` when recursion reachable from the entry makes
     /// frame depth data-dependent.
@@ -487,7 +473,7 @@ impl fmt::Display for VerifyReport {
         if self.is_ok() {
             writeln!(
                 f,
-                "OK: {} procedure(s), max stack depth {} (limit {}), {} fused pair(s)",
+                "OK: {} procedure(s), max stack depth {} (limit {})",
                 self.procs.len(),
                 self.procs
                     .iter()
@@ -495,7 +481,6 @@ impl fmt::Display for VerifyReport {
                     .max()
                     .unwrap_or(0),
                 self.stack_limit,
-                self.fused_pairs,
             )?;
             match self.frame_words_bound {
                 Some(w) => writeln!(f, "frame bound: {w} words on the deepest call chain")?,

@@ -86,8 +86,8 @@ pub enum Dispatch {
     #[default]
     Fused,
     /// [`Dispatch::Fused`] plus the tier-5 native engine: hot
-    /// procedure bodies are compiled to direct-threaded arrays of
-    /// pre-monomorphized host handlers and run without the
+    /// procedure bodies are compiled to direct-threaded arrays of the
+    /// interpreter's own opcode handlers and run without the
     /// fetch/dispatch loop. Inert until [`Machine::arm_native`]
     /// accepts a [`NativeLicense`] derived from a clean `fpc-verify`
     /// certificate, and permanently disarmed by installing a trap or

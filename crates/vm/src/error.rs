@@ -195,6 +195,12 @@ pub enum VmError {
     OutOfFuel,
     /// The image is malformed or incompatible with the configuration.
     BadImage(String),
+    /// The configured memory size is not a power of two: guest-derived
+    /// addresses are wrapped into the address space with a mask.
+    MemorySize {
+        /// The rejected `MachineConfig::memory_words`.
+        words: u32,
+    },
     /// A fault was raised with no handler installed for its kind (and
     /// no legacy terminal mapping applies).
     UnhandledFault(FaultKind),
@@ -256,6 +262,9 @@ impl fmt::Display for VmError {
             ),
             VmError::OutOfFuel => write!(f, "instruction budget exhausted"),
             VmError::BadImage(m) => write!(f, "bad image: {m}"),
+            VmError::MemorySize { words } => {
+                write!(f, "memory of {words} words is not a power of two")
+            }
             VmError::UnhandledFault(k) => write!(f, "unhandled fault: {k}"),
             VmError::DoubleFault { first, second } => {
                 write!(f, "double fault: {second} while dispatching {first}")

@@ -28,7 +28,7 @@ use fpc_mem::{ByteAddr, CodeStore, Memory, WordAddr};
 use crate::banks::{BankMachine, BankStats};
 use crate::cache::{CacheStats, FrameCache};
 use crate::config::{AllocStrategy, Dispatch, MachineConfig, PtrLocalPolicy};
-use crate::cost::{TransferKind, TransferStats, CYCLE_BASE, CYCLE_MEMREF, CYCLE_REFILL};
+use crate::cost::{self, TransferKind, TransferStats};
 use crate::error::{FaultKind, RemoteFaultClass, TrapCode, VmError};
 use crate::ifu::{ReturnEntry, ReturnStack, ReturnStackStats};
 use crate::image::{self, Image, ProcRef, AV_BASE, GFT_BASE};
@@ -261,6 +261,9 @@ pub struct RemoteRequest {
 /// The byte-code machine.
 pub struct Machine {
     mem: Memory,
+    /// `memory_words − 1`: the address mask [`Machine::wrap`] applies
+    /// (the memory size is a power of two, checked at load).
+    wmask: u32,
     code: CodeStore,
     config: MachineConfig,
     allocator: Allocator,
@@ -371,6 +374,156 @@ enum Flow {
     Halt,
 }
 
+/// A reading of the counters charges are derived from; see
+/// [`Machine::meter`].
+#[derive(Clone, Copy)]
+struct Meter {
+    refs: u64,
+    divert: u64,
+}
+
+/// How the shared handlers ([`Machine::op`]) touch the evaluation
+/// stack.
+trait StackDiscipline {
+    fn pop(m: &mut Machine) -> Result<u16, VmError>;
+    fn push(m: &mut Machine, v: u16) -> Result<(), VmError>;
+    /// Replaces the top of the stack with `f` of it.
+    fn map_top(m: &mut Machine, f: impl FnOnce(u16) -> u16) -> Result<(), VmError>;
+}
+
+/// The interpreter's discipline: a pop from an empty stack is
+/// [`VmError::StackUnderflow`], a push past [`Machine::stack_limit`] a
+/// stack-overflow trap.
+struct Checked;
+
+impl StackDiscipline for Checked {
+    #[inline(always)]
+    fn pop(m: &mut Machine) -> Result<u16, VmError> {
+        m.pop()
+    }
+
+    #[inline(always)]
+    fn push(m: &mut Machine, v: u16) -> Result<(), VmError> {
+        m.push(v)
+    }
+
+    #[inline(always)]
+    fn map_top(m: &mut Machine, f: impl FnOnce(u16) -> u16) -> Result<(), VmError> {
+        let t = m.stack.last_mut().ok_or(VmError::StackUnderflow)?;
+        *t = f(*t);
+        Ok(())
+    }
+}
+
+/// The discipline of code whose depth is already proven: a fused pair
+/// past its `need`/`grow` guard, or a native burst under the license's
+/// stack bound. Pops are total (an empty stack reads 0 and an empty top
+/// is left alone, both ruled out by the proof) and pushes unchecked, so
+/// the handlers compile to plain stack traffic.
+struct Guarded;
+
+impl StackDiscipline for Guarded {
+    #[inline(always)]
+    fn pop(m: &mut Machine) -> Result<u16, VmError> {
+        Ok(m.stack.pop().unwrap_or(0))
+    }
+
+    #[inline(always)]
+    fn push(m: &mut Machine, v: u16) -> Result<(), VmError> {
+        m.stack.push(v);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn map_top(m: &mut Machine, f: impl FnOnce(u16) -> u16) -> Result<(), VmError> {
+        if let Some(t) = m.stack.last_mut() {
+            *t = f(*t);
+        }
+        Ok(())
+    }
+}
+
+/// The fused-pair table. Each `(A, B)` shape gets a dedicated arm whose
+/// body is the two [`Guarded`] handlers, which the compiler specialises
+/// for the matched opcodes; any other fusible pair runs both halves
+/// through [`Machine::execute`]. `pure` shapes make no counted or
+/// diverted reference, `mem` shapes may (the table's test holds both
+/// to `fuse_pair`); `xfer` lists the first halves given an arm in pairs
+/// that end in a call or return. The operands are samples for the
+/// table's own tests.
+macro_rules! pair_table {
+    (
+        pure: [$(($pa:ident $(($pav:expr))?, $pb:ident $(($pbv:expr))?)),* $(,)?],
+        mem: [$(($ma:ident $(($mav:expr))?, $mb:ident $(($mbv:expr))?)),* $(,)?],
+        xfer: [$($xa:ident $(($xav:expr))?),* $(,)?] $(,)?
+    ) => {
+        impl Machine {
+            /// Both halves of a fused pair past its guards.
+            #[inline(always)]
+            fn pair_guarded(&mut self, a: Instr, b: Instr, at: ByteAddr, b_at: ByteAddr) -> Result<Flow, VmError> {
+                match (a, b) {
+                    $((Instr::$pa { .. }, Instr::$pb { .. }) => {
+                        self.op::<Guarded>(a, || at)?;
+                        self.op::<Guarded>(b, || b_at)
+                    })*
+                    $((Instr::$ma { .. }, Instr::$mb { .. }) => {
+                        self.op::<Guarded>(a, || at)?;
+                        self.op::<Guarded>(b, || b_at)
+                    })*
+                    _ => {
+                        self.execute(a, at)?;
+                        self.execute(b, b_at)
+                    }
+                }
+            }
+
+            /// The first half of a guarded pair ending in a transfer.
+            #[inline(always)]
+            fn pair_first(&mut self, a: Instr, at: ByteAddr) -> Result<Flow, VmError> {
+                match a {
+                    $(Instr::$xa { .. } => self.op::<Guarded>(a, || at),)*
+                    _ => self.execute(a, at),
+                }
+            }
+        }
+
+        /// Every table entry as `(class, A, B)` sample instructions;
+        /// `xfer` entries carry `Ret` as a representative transfer.
+        #[cfg(test)]
+        const PAIR_TABLE: &[(&str, Instr, Instr)] = &[
+            $(("pure", Instr::$pa $(($pav))?, Instr::$pb $(($pbv))?),)*
+            $(("mem", Instr::$ma $(($mav))?, Instr::$mb $(($mbv))?),)*
+            $(("xfer", Instr::$xa $(($xav))?, Instr::Ret),)*
+        ];
+    };
+}
+
+pair_table! {
+    pure: [
+        (LoadImm(7), Add), (LoadImm(7), Sub), (LoadImm(7), Mul),
+        (LoadImm(7), And), (LoadImm(7), Or), (LoadImm(7), Xor),
+        (LoadImm(7), CmpEq), (LoadImm(7), CmpNe), (LoadImm(7), CmpLt),
+        (LoadImm(7), CmpLe), (LoadImm(7), CmpGt), (LoadImm(7), CmpGe),
+        (CmpEq, JumpZero(4)), (CmpNe, JumpZero(4)), (CmpLt, JumpZero(4)),
+        (CmpLe, JumpZero(4)), (CmpGt, JumpZero(4)), (CmpGe, JumpZero(4)),
+        (CmpEq, JumpNotZero(4)), (CmpNe, JumpNotZero(4)), (CmpLt, JumpNotZero(4)),
+        (CmpLe, JumpNotZero(4)), (CmpGt, JumpNotZero(4)), (CmpGe, JumpNotZero(4)),
+    ],
+    mem: [
+        (LoadLocal(0), LoadLocal(1)), (LoadLocal(0), LoadImm(7)),
+        (LoadLocal(0), Add), (LoadLocal(0), Sub), (LoadLocal(0), Mul),
+        (LoadLocal(0), CmpEq), (LoadLocal(0), CmpNe), (LoadLocal(0), CmpLt),
+        (LoadLocal(0), CmpLe), (LoadLocal(0), CmpGt), (LoadLocal(0), CmpGe),
+        (LoadLocal(0), Exch), (LoadLocal(0), StoreLocal(1)),
+        (StoreLocal(0), StoreLocal(1)), (StoreLocal(0), LoadLocal(1)),
+        (StoreLocal(0), LoadImm(7)), (LoadImm(7), StoreLocal(0)),
+        (Add, StoreLocal(0)), (Sub, StoreLocal(0)),
+        (Add, LoadLocal(0)), (Sub, LoadLocal(0)), (Mul, LoadLocal(0)),
+        (LoadGlobal(0), LoadImm(7)), (Add, StoreGlobal(0)), (Sub, StoreGlobal(0)),
+    ],
+    xfer: [LoadImm(7), LoadLocal(0)],
+}
+
 /// How a native burst ended.
 enum NativeExit {
     /// The machine halted inside the burst.
@@ -452,6 +605,11 @@ impl Machine {
         config: MachineConfig,
         buf: fpc_mem::MemoryBuffer,
     ) -> Result<Self, VmError> {
+        if !config.memory_words.is_power_of_two() {
+            return Err(VmError::MemorySize {
+                words: config.memory_words,
+            });
+        }
         if image.bank_args != config.renaming() {
             return Err(VmError::BadImage(format!(
                 "image bank_args={} but machine renaming={}",
@@ -520,6 +678,7 @@ impl Machine {
             .collect();
         let mut machine = Machine {
             mem,
+            wmask: config.memory_words - 1,
             code,
             config,
             allocator,
@@ -582,33 +741,50 @@ impl Machine {
     /// (or segment boundary) is treated as one straight-line run; runs
     /// that stop decoding early are left to the lazy path.
     fn refresh_predecode(&mut self) {
-        let Some(cache) = self.predecode.as_mut() else {
+        if self.predecode.is_none() {
             return;
-        };
-        // Stops: segment bases (entry vectors are data), every header,
-        // and the end of the store.
-        let mut headers: Vec<u32> = Vec::new();
+        }
+        let bodies = self.bodies();
+        let cache = self.predecode.as_mut().expect("checked above");
+        cache.sync(&self.code);
+        for (body, end) in bodies {
+            cache.translate_range(&self.code, body, end);
+        }
+    }
+
+    /// Every procedure header, found through the modules' entry vectors
+    /// (module order; instances repeat their owner's headers).
+    fn proc_headers(&self) -> Vec<u32> {
+        let mut headers = Vec::new();
         for m in &self.modules {
             for p in 0..m.nprocs {
                 let rel = self.code.peek_u16(layout::ev_slot(m.code_base, p));
                 headers.push(m.code_base.0 + rel as u32);
             }
         }
+        headers
+    }
+
+    /// Every procedure body as `(first byte, end)`, sorted: a body runs
+    /// from its header's end to the next stop — a segment base (entry
+    /// vectors are data), another header, or the end of the store.
+    fn bodies(&self) -> Vec<(u32, u32)> {
+        let mut headers = self.proc_headers();
         let mut stops: Vec<u32> = self.modules.iter().map(|m| m.code_base.0).collect();
         stops.extend_from_slice(&headers);
         stops.push(self.code.len());
         stops.sort_unstable();
         stops.dedup();
-        cache.sync(&self.code);
-        for &h in &headers {
-            let body = h + layout::PROC_HEADER_BYTES;
-            let end = stops
-                .iter()
-                .copied()
-                .find(|&s| s >= body)
-                .unwrap_or_else(|| self.code.len());
-            cache.translate_range(&self.code, body, end);
-        }
+        headers.sort_unstable();
+        headers.dedup();
+        headers
+            .into_iter()
+            .map(|h| {
+                let body = h + layout::PROC_HEADER_BYTES;
+                let end = stops.iter().copied().find(|&s| s >= body);
+                (body, end.unwrap_or_else(|| self.code.len()))
+            })
+            .collect()
     }
 
     /// Predecode-cache statistics, unless dispatch is [`Dispatch::Byte`].
@@ -920,14 +1096,7 @@ impl Machine {
     /// `Histogram::top_k` hotness ranking.
     pub fn native_hotness(&self) -> Option<fpc_stats::Histogram> {
         let nt = self.native.as_ref()?;
-        let mut headers = Vec::new();
-        for m in &self.modules {
-            for p in 0..m.nprocs {
-                let rel = self.code.peek_u16(layout::ev_slot(m.code_base, p));
-                headers.push(m.code_base.0 + rel as u32);
-            }
-        }
-        Some(nt.hotness(headers))
+        Some(nt.hotness(self.proc_headers()))
     }
 
     /// Permanent native deopt: a certificate premise lapsed.
@@ -966,39 +1135,18 @@ impl Machine {
         if pending.is_empty() {
             return;
         }
-        // Body map, exactly as `refresh_predecode` builds it.
-        let mut headers: Vec<u32> = Vec::new();
-        for m in &self.modules {
-            for p in 0..m.nprocs {
-                let rel = self.code.peek_u16(layout::ev_slot(m.code_base, p));
-                headers.push(m.code_base.0 + rel as u32);
-            }
-        }
-        let mut stops: Vec<u32> = self.modules.iter().map(|m| m.code_base.0).collect();
-        stops.extend_from_slice(&headers);
-        stops.push(self.code.len());
-        stops.sort_unstable();
-        stops.dedup();
-        headers.sort_unstable();
-        headers.dedup();
-        let fast_mem = self.banks.is_none();
-        let code_len = self.code.len();
+        let bodies = self.bodies();
         let nt = self.native.as_mut().expect("checked above");
         for probe in pending {
             if !nt.candidate(probe) {
                 continue;
             }
-            // Enclosing body: the greatest header whose body starts at
-            // or before the probe, provided the probe is inside it.
-            let i = headers.partition_point(|&h| h + layout::PROC_HEADER_BYTES <= probe);
+            // Enclosing body: the last one starting at or before the
+            // probe, provided the probe is inside it.
+            let i = bodies.partition_point(|&(body, _)| body <= probe);
             let compiled = i > 0 && {
-                let body = headers[i - 1] + layout::PROC_HEADER_BYTES;
-                let end = stops
-                    .iter()
-                    .copied()
-                    .find(|&s| s >= body)
-                    .unwrap_or(code_len);
-                probe < end && nt.compile(self.code.bytes(), body, end, fast_mem)
+                let (body, end) = bodies[i - 1];
+                probe < end && nt.compile(self.code.bytes(), body, end)
             };
             if !compiled {
                 nt.refuse(probe);
@@ -1007,9 +1155,14 @@ impl Machine {
     }
 
     /// Executes a native burst starting at `proc[ip]`, consuming one
-    /// fuel unit per retired instruction. Fast handlers accumulate
-    /// cycle/jump charges locally and flush once on exit; anything
-    /// with richer accounting retires through [`Machine::step_one`].
+    /// fuel unit per retired instruction. Fast ops run the shared
+    /// handlers under [`Guarded`] (the license's stack bound makes
+    /// every pop total and every push fit) and are charged in
+    /// segments: each call, return or interpreter fallback first
+    /// commits the fast instructions retired since the previous one,
+    /// from the reference and divert deltas, then retires itself
+    /// through [`Machine::step_rest`]; the burst's exit commits the
+    /// rest.
     fn native_run(
         &mut self,
         mut proc: Arc<NativeProc>,
@@ -1017,26 +1170,30 @@ impl Machine {
         mut ip: u32,
         budget: &mut u64,
     ) -> Result<NativeExit, VmError> {
+        use Instr as I;
         // Arming requires intact certificate premises, so no trap or
         // fault handler can be installed while the tier runs: burst
         // instructions are never handler-attributed.
         debug_assert_eq!(self.fault_depth, 0);
         let ver0 = self.code.version();
-        // `wrap` is a modulo by the memory size; for the (universal)
-        // power-of-two case a mask computes the identical address
-        // without a host divide on every local/global access.
-        let msize = self.mem.size();
-        let wmask = if msize.is_power_of_two() {
-            msize - 1
-        } else {
-            0
-        };
-        let fast_wrap =
-            move |a: u32| -> WordAddr { WordAddr(if wmask != 0 { a & wmask } else { a % msize }) };
-        let budget0 = *budget;
-        let mut cycles = 0u64;
+        // The open fast segment: fuel at its start, the meter reading
+        // and the jumps it has taken.
+        let mut mark = *budget;
+        let mut meter = self.meter();
         let mut jumps = 0u64;
+        let mut fast = 0u64;
         let mut interp_ops = 0u64;
+        // Commits the open segment, less `$pending` fuel units already
+        // taken by an op that has not retired yet.
+        macro_rules! close_segment {
+            ($pending:expr) => {
+                let instrs = mark - *budget - $pending;
+                let (refs, divert) = self.since(meter);
+                self.commit(instrs, refs, divert, jumps, None, false);
+                fast += instrs;
+                jumps = 0;
+            };
+        }
         // A fused arm retiring `1 + extra` instructions takes the extra
         // fuel up front; on shortfall it refunds the loop-top unit —
         // nothing has executed, so `pc` still names the run start.
@@ -1050,21 +1207,50 @@ impl Machine {
                 *budget -= $extra;
             };
         }
-        // A transfer retires through `native_transfer`, then chases the
-        // new pc back into compiled code (recursive transfers stay in
-        // the current body without touching the shared handle). Exits
-        // the burst on halt, on a code-version move, or when the target
-        // is not compiled.
-        macro_rules! xfer {
+        // One straight-line op through its shared handler.
+        macro_rules! op {
+            ($instr:expr) => {
+                let at = || ByteAddr(proc.offs[(ip - 1) as usize]);
+                if let Err(e) = self.op::<Guarded>($instr, at) {
+                    break Err(e);
+                }
+            };
+        }
+        // A branch whose displacement is already resolved to op `$t`.
+        macro_rules! branch {
+            ($instr:expr, $t:expr) => {
+                match self.branch::<Guarded>($instr) {
+                    Ok(true) => {
+                        ip = $t;
+                        jumps += 1;
+                    }
+                    Ok(false) => {}
+                    Err(e) => break Err(e),
+                }
+            };
+        }
+        // Retires one instruction through the interpreter, then chases
+        // the new pc back into compiled code (recursive transfers stay
+        // in the current body without touching the shared handle).
+        // Exits the burst on halt, on a code-version move, or when the
+        // target is not compiled.
+        macro_rules! interp {
             ($start:expr, $instr:expr, $len:expr) => {
+                close_segment!(1);
+                mark = *budget;
+                interp_ops += 1;
                 let start: u32 = $start;
-                if let Err(e) = self.native_transfer($instr, $len, ByteAddr(start)) {
+                let r = self.step_rest($instr, $len, ByteAddr(start));
+                meter = self.meter();
+                if let Err(e) = r {
                     break Err(e);
                 }
                 if self.halted {
                     break Ok(NativeExit::Halted);
                 }
                 if self.code.version() != ver0 {
+                    // Code changed under the burst; `pc` is already
+                    // architectural.
                     break Ok(NativeExit::Left);
                 }
                 if self.pc.0 != start + $len as u32 {
@@ -1090,231 +1276,14 @@ impl Machine {
             let op = proc.ops[ip as usize];
             ip += 1;
             match op {
-                NOp::Imm(v) => {
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE;
+                NOp::Op(instr) => {
+                    op!(instr);
                 }
-                NOp::LocalRd(n) => {
-                    let v = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
+                NOp::Br(instr, t) => {
+                    branch!(instr, t);
                 }
-                NOp::LocalWr(n) => {
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.mem
-                        .write(fast_wrap(layout::local_slot(self.lf, n as u32).0), v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                }
-                NOp::LocalAddr(n) => {
-                    let addr = layout::local_slot(self.lf, n as u32);
-                    self.stack.push(addr.0 as u16);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::GlobalRd(n) => {
-                    self.obs_global(n as u32, false);
-                    let v = self
-                        .mem
-                        .read(fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32));
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                }
-                NOp::GlobalWr(n) => {
-                    self.obs_global(n as u32, true);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.mem
-                        .write(fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32), v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                }
-                NOp::GlobalAddr(n) => {
-                    let addr = fast_wrap(self.gf.0 + layout::GF_GLOBALS + n as u32);
-                    self.stack.push(addr.0 as u16);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Read => {
-                    self.obs(|o| o.reads_memory = true);
-                    let addr = WordAddr(self.stack.pop().unwrap_or(0) as u32);
-                    let v = self.mem.read(addr);
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                }
-                NOp::Write => {
-                    self.obs(|o| o.writes_memory = true);
-                    let addr = WordAddr(self.stack.pop().unwrap_or(0) as u32);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.mem.write(addr, v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                }
-                NOp::LoadIndex => {
-                    self.obs(|o| o.reads_memory = true);
-                    let idx = self.stack.pop().unwrap_or(0);
-                    let base = self.stack.pop().unwrap_or(0);
-                    let v = self.mem.read(WordAddr(base.wrapping_add(idx) as u32));
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                }
-                NOp::StoreIndex => {
-                    self.obs(|o| o.writes_memory = true);
-                    let idx = self.stack.pop().unwrap_or(0);
-                    let base = self.stack.pop().unwrap_or(0);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.mem.write(WordAddr(base.wrapping_add(idx) as u32), v);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                }
-                NOp::Add => {
-                    self.native_binary(|a, b| a.wrapping_add(b));
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Sub => {
-                    self.native_binary(|a, b| a.wrapping_sub(b));
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Mul => {
-                    self.native_binary(|a, b| a.wrapping_mul(b));
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Neg => {
-                    let a = self.stack.pop().unwrap_or(0) as i16;
-                    self.stack.push(a.wrapping_neg() as u16);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::And => {
-                    self.native_binary(|a, b| a & b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Or => {
-                    self.native_binary(|a, b| a | b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Xor => {
-                    self.native_binary(|a, b| a ^ b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Shl => {
-                    let n = self.stack.pop().unwrap_or(0) & 0x0F;
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.stack.push(v << n);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Shr => {
-                    let n = self.stack.pop().unwrap_or(0) & 0x0F;
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.stack.push(v >> n);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::CmpEq => {
-                    self.native_compare(|a, b| a == b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::CmpNe => {
-                    self.native_compare(|a, b| a != b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::CmpLt => {
-                    self.native_compare(|a, b| a < b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::CmpLe => {
-                    self.native_compare(|a, b| a <= b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::CmpGt => {
-                    self.native_compare(|a, b| a > b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::CmpGe => {
-                    self.native_compare(|a, b| a >= b);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::AddImm(n) => {
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.stack.push(v.wrapping_add(n as u16));
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Dup => {
-                    let v = self.stack.last().copied().unwrap_or(0);
-                    self.stack.push(v);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Drop => {
-                    self.stack.pop();
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Exch => {
-                    let b = self.stack.pop().unwrap_or(0);
-                    let a = self.stack.pop().unwrap_or(0);
-                    self.stack.push(b);
-                    self.stack.push(a);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Out => {
-                    self.obs(|o| o.writes_output = true);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.output.push(v);
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Noop => {
-                    cycles += CYCLE_BASE;
-                }
-                NOp::Jmp(t) => {
-                    ip = t;
-                    cycles += CYCLE_BASE + CYCLE_REFILL;
-                    jumps += 1;
-                }
-                NOp::Jz(t) => {
-                    if self.stack.pop().unwrap_or(0) == 0 {
-                        ip = t;
-                        cycles += CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    } else {
-                        cycles += CYCLE_BASE;
-                    }
-                }
-                NOp::Jnz(t) => {
-                    if self.stack.pop().unwrap_or(0) != 0 {
-                        ip = t;
-                        cycles += CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    } else {
-                        cycles += CYCLE_BASE;
-                    }
-                }
-                NOp::Call(instr, len) => {
-                    interp_ops += 1;
-                    xfer!(proc.offs[(ip - 1) as usize], instr, len);
-                }
-                NOp::Interp(instr, len) => {
-                    interp_ops += 1;
-                    let start = proc.offs[(ip - 1) as usize];
-                    if let Err(e) = self.step_one(instr, len, ByteAddr(start)) {
-                        break Err(e);
-                    }
-                    if self.halted {
-                        break Ok(NativeExit::Halted);
-                    }
-                    if self.code.version() != ver0 {
-                        // Code changed under the burst; `pc` is
-                        // already architectural.
-                        break Ok(NativeExit::Left);
-                    }
-                    if self.pc.0 != start + len as u32 {
-                        // A transfer: chase it natively if the target
-                        // is compiled, else hand back to the
-                        // interpreter loop. Recursive transfers stay
-                        // in the current body without touching the
-                        // shared handle.
-                        let nt = self.native.as_ref().expect("armed burst");
-                        match nt.locate(self.pc.0) {
-                            Some((p, i)) if p == cur => ip = i,
-                            Some((p, i)) => {
-                                proc = nt.proc(p);
-                                cur = p;
-                                ip = i;
-                            }
-                            None => break Ok(NativeExit::Left),
-                        }
-                    }
+                NOp::Call(instr, len) | NOp::Interp(instr, len) => {
+                    interp!(proc.offs[(ip - 1) as usize], instr, len);
                 }
                 NOp::Exit => {
                     // Fell off the compiled body: no instruction
@@ -1324,244 +1293,116 @@ impl Machine {
                     break Ok(NativeExit::Left);
                 }
                 // Fused runs retire several instructions per dispatch:
-                // `need!` takes the extra fuel, the body charges every
-                // constituent op's cycles in one commit.
+                // `need!` takes the extra fuel, each constituent runs
+                // its own handler.
                 NOp::Ld2(n, v) => {
                     need!(1);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a);
-                    self.stack.push(v);
-                    cycles += 2 * CYCLE_BASE + CYCLE_MEMREF;
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadImm(v));
                 }
                 NOp::LdLd(n, m) => {
                     need!(1);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a);
-                    let b = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, m as u32).0));
-                    self.stack.push(b);
-                    cycles += 2 * (CYCLE_BASE + CYCLE_MEMREF);
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadLocal(m));
                 }
                 NOp::AddIW(v) => {
                     need!(1);
-                    let a = self.stack.pop().unwrap_or(0);
-                    self.stack.push(a.wrapping_add(v));
-                    cycles += 2 * CYCLE_BASE;
+                    op!(I::LoadImm(v));
+                    op!(I::Add);
                 }
                 NOp::SubIW(v) => {
                     need!(1);
-                    let a = self.stack.pop().unwrap_or(0);
-                    self.stack.push(a.wrapping_sub(v));
-                    cycles += 2 * CYCLE_BASE;
+                    op!(I::LoadImm(v));
+                    op!(I::Sub);
                 }
                 NOp::CmpJz(c, t) => {
                     need!(1);
-                    let b = self.stack.pop().unwrap_or(0) as i16;
-                    let a = self.stack.pop().unwrap_or(0) as i16;
-                    if c.eval(a, b) {
-                        cycles += 2 * CYCLE_BASE;
-                    } else {
-                        ip = t;
-                        cycles += 2 * CYCLE_BASE + CYCLE_REFILL;
-                        jumps += 1;
-                    }
+                    op!(c);
+                    branch!(I::JumpZero(0), t);
                 }
                 NOp::LdSubI(n, v) => {
                     need!(2);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a.wrapping_sub(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadImm(v));
+                    op!(I::Sub);
                 }
                 NOp::LdAddI(n, v) => {
                     need!(2);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a.wrapping_add(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadImm(v));
+                    op!(I::Add);
                 }
                 NOp::LdXAdd(n) => {
                     need!(2);
-                    let t = self.stack.pop().unwrap_or(0);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a.wrapping_add(t));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
+                    op!(I::LoadLocal(n));
+                    op!(I::Exch);
+                    op!(I::Add);
                 }
                 NOp::LdICmpJz(n, v, c, t) => {
                     need!(3);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    if c.eval(a as i16, v as i16) {
-                        cycles += 4 * CYCLE_BASE + CYCLE_MEMREF;
-                    } else {
-                        ip = t;
-                        cycles += 4 * CYCLE_BASE + CYCLE_MEMREF + CYCLE_REFILL;
-                        jumps += 1;
-                    }
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadImm(v));
+                    op!(c);
+                    branch!(I::JumpZero(0), t);
                 }
                 NOp::LdLdCmpJz(n, m, c, t) => {
                     need!(3);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    let b = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, m as u32).0));
-                    if c.eval(a as i16, b as i16) {
-                        cycles += 4 * CYCLE_BASE + 2 * CYCLE_MEMREF;
-                    } else {
-                        ip = t;
-                        cycles += 4 * CYCLE_BASE + 2 * CYCLE_MEMREF + CYCLE_REFILL;
-                        jumps += 1;
-                    }
-                }
-                // Fused argument setup + transfer: the prefix charges
-                // like its standalone fused form, then the call retires
-                // through `native_transfer` with its architectural
-                // instruction start reconstructed from the recorded
-                // prefix length.
-                NOp::LdCall(n, d, instr, len) => {
-                    need!(1);
-                    interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a);
-                    cycles += CYCLE_BASE + CYCLE_MEMREF;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
-                }
-                NOp::LdSubICall(n, v, d, instr, len) => {
-                    need!(3);
-                    interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a.wrapping_sub(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
-                }
-                NOp::LdAddICall(n, v, d, instr, len) => {
-                    need!(3);
-                    interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a.wrapping_add(v));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
-                }
-                NOp::LdXAddCall(n, d, instr, len) => {
-                    need!(3);
-                    interp_ops += 1;
-                    let t = self.stack.pop().unwrap_or(0);
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a.wrapping_add(t));
-                    cycles += 3 * CYCLE_BASE + CYCLE_MEMREF;
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadLocal(m));
+                    op!(c);
+                    branch!(I::JumpZero(0), t);
                 }
                 NOp::WrJmp(n, t) => {
                     need!(1);
-                    let v = self.stack.pop().unwrap_or(0);
-                    self.mem
-                        .write(fast_wrap(layout::local_slot(self.lf, n as u32).0), v);
-                    ip = t;
-                    cycles += 2 * CYCLE_BASE + CYCLE_MEMREF + CYCLE_REFILL;
-                    jumps += 1;
+                    op!(I::StoreLocal(n));
+                    branch!(I::Jump(0), t);
+                }
+                // Fused argument setup + transfer: the call retires
+                // through `step_rest` with its architectural instruction
+                // start reconstructed from the recorded prefix length.
+                NOp::LdCall(n, d, instr, len) => {
+                    need!(1);
+                    op!(I::LoadLocal(n));
+                    interp!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
                 }
                 NOp::LdLdCall(n, m, d, instr, len) => {
                     need!(2);
-                    interp_ops += 1;
-                    let a = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, n as u32).0));
-                    self.stack.push(a);
-                    let b = self
-                        .mem
-                        .read(fast_wrap(layout::local_slot(self.lf, m as u32).0));
-                    self.stack.push(b);
-                    cycles += 2 * (CYCLE_BASE + CYCLE_MEMREF);
-                    xfer!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadLocal(m));
+                    interp!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                }
+                NOp::LdSubICall(n, v, d, instr, len) => {
+                    need!(3);
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadImm(v));
+                    op!(I::Sub);
+                    interp!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                }
+                NOp::LdAddICall(n, v, d, instr, len) => {
+                    need!(3);
+                    op!(I::LoadLocal(n));
+                    op!(I::LoadImm(v));
+                    op!(I::Add);
+                    interp!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
+                }
+                NOp::LdXAddCall(n, d, instr, len) => {
+                    need!(3);
+                    op!(I::LoadLocal(n));
+                    op!(I::Exch);
+                    op!(I::Add);
+                    interp!(proc.offs[(ip - 1) as usize] + d as u32, instr, len);
                 }
             }
         };
-        let retired = budget0 - *budget;
-        let fast = retired - interp_ops;
-        self.stats.instructions += fast;
-        self.stats.cycles += cycles;
-        self.stats.jumps_taken += jumps;
+        let instrs = mark - *budget;
+        let (refs, divert) = self.since(meter);
+        self.commit(instrs, refs, divert, jumps, None, false);
         if let Some(nt) = self.native.as_mut() {
             nt.entries += 1;
-            nt.native_instrs += fast;
+            nt.native_instrs += fast + instrs;
             nt.interp_ops += interp_ops;
         }
         result
-    }
-
-    /// `step_one` specialized for calls and returns inside an armed
-    /// native burst. Arming requires that no trap or fault handler is
-    /// installed, so the handler-attribution block and the
-    /// `dispatch_fault` recovery path are provably dead: a fault here
-    /// is terminal exactly as `dispatch_fault` would conclude with no
-    /// handler present (it returns the error before touching any
-    /// state). Everything the interpreter counts is counted the same.
-    #[inline]
-    fn native_transfer(
-        &mut self,
-        instr: Instr,
-        len: u8,
-        instr_start: ByteAddr,
-    ) -> Result<(), VmError> {
-        let refs0 = self.refs_total();
-        let divert0 = self.stats.divert_cycles;
-        self.pc = instr_start.offset(len as u32);
-        let flow = self.execute(instr, instr_start)?;
-        let refs = self.refs_total() - refs0;
-        let divert = self.stats.divert_cycles - divert0;
-        let mut cycles = CYCLE_BASE + refs * CYCLE_MEMREF + divert;
-        let mut kind = None;
-        match flow {
-            Flow::Next => {}
-            Flow::Taken(k) => {
-                cycles += CYCLE_REFILL;
-                kind = k;
-                if k.is_none() {
-                    self.stats.jumps_taken += 1;
-                }
-            }
-            Flow::Halt => self.halted = true,
-        }
-        self.stats.cycles += cycles;
-        self.stats.instructions += 1;
-        if let Some(k) = kind {
-            self.stats.transfers.record(k, cycles, refs);
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn native_binary(&mut self, f: impl FnOnce(i16, i16) -> i16) {
-        let b = self.stack.pop().unwrap_or(0) as i16;
-        let a = self.stack.pop().unwrap_or(0) as i16;
-        self.stack.push(f(a, b) as u16);
-    }
-
-    #[inline]
-    fn native_compare(&mut self, f: impl FnOnce(i16, i16) -> bool) {
-        let b = self.stack.pop().unwrap_or(0) as i16;
-        let a = self.stack.pop().unwrap_or(0) as i16;
-        self.stack.push(f(a, b) as u16);
     }
 
     /// Retires the machine and returns its simulated memory's backing
@@ -1820,8 +1661,8 @@ impl Machine {
     }
 
     /// Executes one instruction and commits its cost — the classic
-    /// step body (decoding is uncounted, so snapshotting the counters
-    /// after fetch is identical to before).
+    /// step body (decoding is uncounted, so reading the meter after
+    /// fetch is identical to before).
     #[inline]
     fn step_one(
         &mut self,
@@ -1829,11 +1670,33 @@ impl Machine {
         len: u8,
         instr_start: ByteAddr,
     ) -> Result<StepOutcome, VmError> {
-        let refs0 = self.refs_total();
-        let divert0 = self.stats.divert_cycles;
+        self.step_via(Self::execute, instr, len, instr_start)
+    }
+
+    /// [`Machine::step_one`] for an instruction already known to lie
+    /// outside the shared handler set (a call, return or interpreter
+    /// fallback), which skips straight to [`Machine::execute_rest`].
+    fn step_rest(
+        &mut self,
+        instr: Instr,
+        len: u8,
+        instr_start: ByteAddr,
+    ) -> Result<StepOutcome, VmError> {
+        self.step_via(Self::execute_rest, instr, len, instr_start)
+    }
+
+    #[inline(always)]
+    fn step_via(
+        &mut self,
+        exec: impl FnOnce(&mut Self, Instr, ByteAddr) -> Result<Flow, VmError>,
+        instr: Instr,
+        len: u8,
+        instr_start: ByteAddr,
+    ) -> Result<StepOutcome, VmError> {
+        let meter = self.meter();
         let in_handler = self.fault_depth > 0;
         self.pc = instr_start.offset(len as u32);
-        let (flow, faulted) = match self.execute(instr, instr_start) {
+        let (flow, faulted) = match exec(self, instr, instr_start) {
             Ok(f) => (f, false),
             // A recoverable fault: the restartability invariant means
             // no architectural state was committed, so dispatching the
@@ -1841,35 +1704,84 @@ impl Machine {
             // eventual retry indistinguishable from a first execution.
             Err(e) => (self.dispatch_fault(e, instr_start)?, true),
         };
-        let refs = self.refs_total() - refs0;
-        let divert = self.stats.divert_cycles - divert0;
-        let mut cycles = CYCLE_BASE + refs * CYCLE_MEMREF + divert;
-        let mut kind = None;
-        let mut jumped = false;
-        match flow {
-            Flow::Next => {}
-            Flow::Taken(k) => {
-                cycles += CYCLE_REFILL;
-                kind = k;
-                if k.is_none() {
-                    self.stats.jumps_taken += 1;
-                    jumped = true;
-                }
-            }
-            Flow::Halt => self.halted = true,
+        let (refs, divert) = self.since(meter);
+        let (jumps, kind) = self.settle_flow(flow);
+        self.commit(1, refs, divert, jumps, kind, in_handler || faulted);
+        Ok(StepOutcome::Ran)
+    }
+
+    /// A snapshot of the two counters every charge is derived from:
+    /// total counted references and §7.4 divert cycles.
+    #[inline]
+    fn meter(&self) -> Meter {
+        Meter {
+            refs: self.refs_total(),
+            divert: self.stats.divert_cycles,
         }
+    }
+
+    /// References and divert cycles spent since `m`.
+    #[inline]
+    fn since(&self, m: Meter) -> (u64, u64) {
+        (
+            self.refs_total() - m.refs,
+            self.stats.divert_cycles - m.divert,
+        )
+    }
+
+    /// Splits an executed instruction's flow into the commit's taken
+    /// jumps and transfer kind, halting the machine on `Halt`.
+    #[inline]
+    fn settle_flow(&mut self, flow: Flow) -> (u64, Option<TransferKind>) {
+        match flow {
+            Flow::Next => (0, None),
+            Flow::Taken(None) => (1, None),
+            Flow::Taken(kind) => (0, kind),
+            Flow::Halt => {
+                self.halted = true;
+                (0, None)
+            }
+        }
+    }
+
+    /// The one cost commit. Charges `instrs` retired instructions that
+    /// made `refs` counted references, spent `divert` diverted-reference
+    /// cycles and took `jumps` jumps, plus — for a transfer of `kind`,
+    /// which must be the only instruction in the commit — its refill
+    /// and per-event record. `handler` attributes everything to fault
+    /// handling as well.
+    ///
+    /// The model is linear (`BASE + refs·MEMREF + divert + REFILL` per
+    /// taken instruction), so one commit for a straight-line run is
+    /// bit-identical to one per instruction: fused pairs and native
+    /// bursts charge from deltas rather than per-op constants.
+    #[inline(always)]
+    fn commit(
+        &mut self,
+        instrs: u64,
+        refs: u64,
+        divert: u64,
+        jumps: u64,
+        kind: Option<TransferKind>,
+        handler: bool,
+    ) {
+        let refills = jumps + kind.is_some() as u64;
+        let cycles = cost::CYCLE_BASE * instrs
+            + cost::CYCLE_MEMREF * refs
+            + divert
+            + cost::CYCLE_REFILL * refills;
         self.stats.cycles += cycles;
-        self.stats.instructions += 1;
+        self.stats.instructions += instrs;
+        self.stats.jumps_taken += jumps;
         if let Some(k) = kind {
             self.stats.transfers.record(k, cycles, refs);
         }
-        if in_handler || faulted {
+        if handler {
             self.fstats.handler_cycles += cycles;
             self.fstats.handler_refs += refs;
-            self.fstats.handler_instructions += 1;
-            self.fstats.handler_jumps += jumped as u64;
+            self.fstats.handler_instructions += instrs;
+            self.fstats.handler_jumps += jumps;
         }
-        Ok(StepOutcome::Ran)
     }
 
     /// Maps a recoverable error to its [`FaultKind`] when a handler
@@ -1967,462 +1879,73 @@ impl Machine {
     /// Executes a fused pair as one host step while accounting exactly
     /// two simulated instructions.
     ///
-    /// The cost model is linear — `cycles = BASE + refs·MEMREF +
-    /// divert (+ REFILL when taken)` per instruction — so for a
-    /// straight-line pair the two steps' costs sum to `2·BASE` plus
-    /// the *total* refs/divert deltas, and one batched commit is
-    /// bit-identical to two separate ones. Pairs ending in a transfer
-    /// take [`Machine::step_pair_xfer`] instead, which snapshots the
-    /// counters between the halves because `TransferStats::record`
-    /// needs the second half's exact refs and cycles.
+    /// Once the stack-depth guards pass, both halves run their shared
+    /// handlers under [`Guarded`] (the pair table's arms; see
+    /// `pair_table!`) and one commit charges the pair: the cost model
+    /// is linear, so the total reference and divert deltas give the
+    /// same counters as two separate steps. Pairs ending in a transfer
+    /// take [`Machine::step_pair_xfer`] instead, because the transfer's
+    /// event record needs its own exact refs and cycles.
     ///
-    /// Stack-depth guards demote underflow/overflow conditions to an
-    /// ordinary single step so every error path goes through the
-    /// normal interpreter.
+    /// A failed guard demotes the pair to an ordinary single step, so
+    /// every error path goes through the normal interpreter.
     fn step_pair(
         &mut self,
         a: Instr,
         f: FusedOp,
         instr_start: ByteAddr,
     ) -> Result<StepOutcome, VmError> {
-        use Instr as I;
-        let in_handler = self.fault_depth > 0;
         let depth = self.stack.len();
         if depth < f.need as usize || depth + f.grow as usize > self.config.stack_depth {
             self.fuse_demotions += 1;
             return self.step_one(a, f.len_a, instr_start);
         }
         let b_start = instr_start.offset(f.len_a as u32);
-        let end = b_start.offset(f.len_b as u32);
         if f.xfer {
-            return self.step_pair_xfer(a, f, instr_start, b_start, end);
+            return self.step_pair_xfer(a, f, instr_start, b_start);
         }
-        if f.pure {
-            // Neither half can make a counted or diverted reference,
-            // so the counter reads are skipped entirely. The hottest
-            // shapes manipulate the stack top in place (the fused
-            // "eval-stack top caching") instead of popping and
-            // re-pushing; the guards above make that safe.
-            self.pc = end;
-            let taken = match (a, f.b) {
-                (I::LoadImm(v), I::Add) => self.top_apply(|t| t.wrapping_add(v as i16)),
-                (I::LoadImm(v), I::Sub) => self.top_apply(|t| t.wrapping_sub(v as i16)),
-                (I::LoadImm(v), I::Mul) => self.top_apply(|t| t.wrapping_mul(v as i16)),
-                (I::LoadImm(v), I::And) => self.top_apply(|t| t & v as i16),
-                (I::LoadImm(v), I::Or) => self.top_apply(|t| t | v as i16),
-                (I::LoadImm(v), I::Xor) => self.top_apply(|t| t ^ v as i16),
-                (I::LoadImm(v), I::CmpEq) => self.top_apply(|t| (t == v as i16) as i16),
-                (I::LoadImm(v), I::CmpNe) => self.top_apply(|t| (t != v as i16) as i16),
-                (I::LoadImm(v), I::CmpLt) => self.top_apply(|t| (t < v as i16) as i16),
-                (I::LoadImm(v), I::CmpLe) => self.top_apply(|t| (t <= v as i16) as i16),
-                (I::LoadImm(v), I::CmpGt) => self.top_apply(|t| (t > v as i16) as i16),
-                (I::LoadImm(v), I::CmpGe) => self.top_apply(|t| (t >= v as i16) as i16),
-                (I::CmpEq, I::JumpZero(d)) => self.cmp_branch(|x, y| x == y, false, b_start, d),
-                (I::CmpNe, I::JumpZero(d)) => self.cmp_branch(|x, y| x != y, false, b_start, d),
-                (I::CmpLt, I::JumpZero(d)) => self.cmp_branch(|x, y| x < y, false, b_start, d),
-                (I::CmpLe, I::JumpZero(d)) => self.cmp_branch(|x, y| x <= y, false, b_start, d),
-                (I::CmpGt, I::JumpZero(d)) => self.cmp_branch(|x, y| x > y, false, b_start, d),
-                (I::CmpGe, I::JumpZero(d)) => self.cmp_branch(|x, y| x >= y, false, b_start, d),
-                (I::CmpEq, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x == y, true, b_start, d),
-                (I::CmpNe, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x != y, true, b_start, d),
-                (I::CmpLt, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x < y, true, b_start, d),
-                (I::CmpLe, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x <= y, true, b_start, d),
-                (I::CmpGt, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x > y, true, b_start, d),
-                (I::CmpGe, I::JumpNotZero(d)) => self.cmp_branch(|x, y| x >= y, true, b_start, d),
-                _ => {
-                    self.pc = b_start;
-                    let flow_a = self.execute(a, instr_start)?;
-                    debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                    self.pc = end;
-                    match self.execute(f.b, b_start)? {
-                        Flow::Next => false,
-                        Flow::Taken(k) => {
-                            debug_assert!(k.is_none(), "pure pairs end in jumps at most");
-                            true
-                        }
-                        Flow::Halt => {
-                            debug_assert!(false, "Halt is not a fusible second op");
-                            self.halted = true;
-                            false
-                        }
-                    }
-                }
-            };
-            let mut cycles = 2 * CYCLE_BASE;
-            if taken {
-                cycles += CYCLE_REFILL;
-                self.stats.jumps_taken += 1;
-            }
-            self.stats.cycles += cycles;
-            self.stats.instructions += 2;
-            self.fused_execs += 1;
-            if in_handler {
-                self.fstats.handler_cycles += cycles;
-                self.fstats.handler_instructions += 2;
-                self.fstats.handler_jumps += taken as u64;
-            }
-            return Ok(StepOutcome::Ran);
-        }
-        // Straight-line pair with possible counted references: one
-        // batched counter read for both halves. The hottest
-        // local-variable shapes are dispatched in place (no second
-        // trip through the big execute match); everything else runs
-        // both halves through the ordinary interpreter. Either way
-        // the accounting below is identical.
-        let refs0 = self.refs_total();
-        let divert0 = self.stats.divert_cycles;
-        self.pc = end;
-        let flow_b = match (a, f.b) {
-            (I::LoadLocal(m), I::LoadLocal(n)) => {
-                let v = self.read_local(m as u32);
-                self.stack.push(v);
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::LoadImm(v)) => {
-                let x = self.read_local(m as u32);
-                self.stack.push(x);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Add) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| t.wrapping_add(v));
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Sub) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| t.wrapping_sub(v));
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Mul) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| t.wrapping_mul(v));
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpEq) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t == v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpNe) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t != v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpLt) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t < v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpLe) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t <= v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpGt) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t > v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::CmpGe) => {
-                let v = self.read_local(m as u32) as i16;
-                self.top_apply(|t| (t >= v) as i16);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::Exch) => {
-                let v = self.read_local(m as u32);
-                let x = self.stack.pop().expect("guarded by fusion depth check");
-                self.stack.push(v);
-                self.stack.push(x);
-                Flow::Next
-            }
-            (I::LoadLocal(m), I::StoreLocal(n)) => {
-                let v = self.read_local(m as u32);
-                self.write_local(n as u32, v);
-                Flow::Next
-            }
-            (I::StoreLocal(m), I::StoreLocal(n)) => {
-                let v = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(m as u32, v);
-                let v = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(n as u32, v);
-                Flow::Next
-            }
-            (I::StoreLocal(m), I::LoadLocal(n)) => {
-                let v = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(m as u32, v);
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::StoreLocal(m), I::LoadImm(v)) => {
-                let x = self.stack.pop().expect("guarded by fusion depth check");
-                self.write_local(m as u32, x);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadImm(v), I::StoreLocal(m)) => {
-                self.write_local(m as u32, v);
-                Flow::Next
-            }
-            (I::Add, I::StoreLocal(m)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.write_local(m as u32, x.wrapping_add(y) as u16);
-                Flow::Next
-            }
-            (I::Sub, I::StoreLocal(m)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.write_local(m as u32, x.wrapping_sub(y) as u16);
-                Flow::Next
-            }
-            (I::Add, I::LoadLocal(n)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.top_apply(|t| t.wrapping_add(y));
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::Sub, I::LoadLocal(n)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.top_apply(|t| t.wrapping_sub(y));
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::Mul, I::LoadLocal(n)) => {
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.top_apply(|t| t.wrapping_mul(y));
-                let v = self.read_local(n as u32);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::LoadGlobal(g), I::LoadImm(v)) => {
-                self.obs_global(g as u32, false);
-                let x = self.mem.read(self.global_addr(g as u32));
-                self.stack.push(x);
-                self.stack.push(v);
-                Flow::Next
-            }
-            (I::Add, I::StoreGlobal(g)) => {
-                self.obs_global(g as u32, true);
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.mem
-                    .write(self.global_addr(g as u32), x.wrapping_add(y) as u16);
-                Flow::Next
-            }
-            (I::Sub, I::StoreGlobal(g)) => {
-                self.obs_global(g as u32, true);
-                let y = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                let x = self.stack.pop().expect("guarded by fusion depth check") as i16;
-                self.mem
-                    .write(self.global_addr(g as u32), x.wrapping_sub(y) as u16);
-                Flow::Next
-            }
-            _ => {
-                self.pc = b_start;
-                let flow_a = self.execute(a, instr_start)?;
-                debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                self.pc = end;
-                self.execute(f.b, b_start)?
-            }
-        };
-        let refs = self.refs_total() - refs0;
-        let divert = self.stats.divert_cycles - divert0;
-        let mut cycles = 2 * CYCLE_BASE + refs * CYCLE_MEMREF + divert;
-        let mut jumped = false;
-        match flow_b {
-            Flow::Next => {}
-            Flow::Taken(k) => {
-                debug_assert!(k.is_none(), "transfer seconds take step_pair_xfer");
-                cycles += CYCLE_REFILL;
-                self.stats.jumps_taken += 1;
-                jumped = true;
-            }
-            Flow::Halt => self.halted = true,
-        }
-        self.stats.cycles += cycles;
-        self.stats.instructions += 2;
+        let in_handler = self.fault_depth > 0;
+        self.pc = b_start.offset(f.len_b as u32);
+        // A pure pair can make no counted or diverted reference, so the
+        // meter is not read at all.
+        let meter = (!f.pure).then(|| self.meter());
+        let flow = self.pair_guarded(a, f.b, instr_start, b_start)?;
+        let (refs, divert) = meter.map_or((0, 0), |m| self.since(m));
+        let (jumps, kind) = self.settle_flow(flow);
+        debug_assert!(kind.is_none(), "transfer seconds take step_pair_xfer");
+        self.commit(2, refs, divert, jumps, None, in_handler);
         self.fused_execs += 1;
-        if in_handler {
-            self.fstats.handler_cycles += cycles;
-            self.fstats.handler_refs += refs;
-            self.fstats.handler_instructions += 2;
-            self.fstats.handler_jumps += jumped as u64;
-        }
         Ok(StepOutcome::Ran)
     }
 
-    /// A fused pair whose second half is a call or return: executes
-    /// both halves with a counter snapshot in between, so the
-    /// transfer's per-event cycle/reference record is exactly what an
-    /// unfused run would have recorded.
+    /// A fused pair whose second half is a call or return: the first
+    /// half commits as its own instruction, then the transfer retires
+    /// through [`Machine::step_rest`], so its per-event cycle/reference
+    /// record — and any fault it raises — is exactly what an unfused
+    /// run would have produced.
     fn step_pair_xfer(
         &mut self,
         a: Instr,
         f: FusedOp,
         instr_start: ByteAddr,
         b_start: ByteAddr,
-        end: ByteAddr,
     ) -> Result<StepOutcome, VmError> {
         let in_handler = self.fault_depth > 0;
         self.pc = b_start;
-        let (cycles_a, refs_a, refs_mid, divert_mid) = if f.pure_a {
-            // A pure first half makes no counted or diverted reference:
-            // its cost is exactly one base cycle and the leading
-            // counter snapshot can be skipped (the mid-pair one doubles
-            // as the transfer's baseline). Dispatch the common
-            // argument-push shape in place.
-            match a {
-                Instr::LoadImm(v) => self.stack.push(v),
-                _ => {
-                    // An error here commits nothing — same as an
-                    // unfused step A (pure ops cannot actually error
-                    // under the depth guards, but stay conservative).
-                    let flow_a = self.execute(a, instr_start)?;
-                    debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                }
-            }
-            (CYCLE_BASE, 0, self.refs_total(), self.stats.divert_cycles)
+        // A pure first half makes no counted or diverted reference, so
+        // its meter reads are skipped.
+        let (refs, divert) = if f.pure_a {
+            self.pair_first(a, instr_start)?;
+            (0, 0)
         } else {
-            let refs0 = self.refs_total();
-            let divert0 = self.stats.divert_cycles;
-            // An error here commits nothing — same as an unfused step A.
-            match a {
-                Instr::LoadLocal(n) => {
-                    let v = self.read_local(n as u32);
-                    self.stack.push(v);
-                }
-                _ => {
-                    let flow_a = self.execute(a, instr_start)?;
-                    debug_assert!(matches!(flow_a, Flow::Next), "first ops are straight-line");
-                }
-            }
-            let refs_mid = self.refs_total();
-            let divert_mid = self.stats.divert_cycles;
-            (
-                CYCLE_BASE + (refs_mid - refs0) * CYCLE_MEMREF + (divert_mid - divert0),
-                refs_mid - refs0,
-                refs_mid,
-                divert_mid,
-            )
+            let meter = self.meter();
+            self.pair_first(a, instr_start)?;
+            self.since(meter)
         };
-        self.pc = end;
-        match self.execute(f.b, b_start) {
-            Ok(flow_b) => {
-                let refs_b = self.refs_total() - refs_mid;
-                let divert_b = self.stats.divert_cycles - divert_mid;
-                let mut cycles_b = CYCLE_BASE + refs_b * CYCLE_MEMREF + divert_b;
-                let mut kind = None;
-                let mut jumped = false;
-                match flow_b {
-                    Flow::Next => {}
-                    Flow::Taken(k) => {
-                        cycles_b += CYCLE_REFILL;
-                        kind = k;
-                        if k.is_none() {
-                            self.stats.jumps_taken += 1;
-                            jumped = true;
-                        }
-                    }
-                    Flow::Halt => self.halted = true,
-                }
-                self.stats.cycles += cycles_a + cycles_b;
-                self.stats.instructions += 2;
-                if let Some(k) = kind {
-                    self.stats.transfers.record(k, cycles_b, refs_b);
-                }
-                self.fused_execs += 1;
-                if in_handler {
-                    self.fstats.handler_cycles += cycles_a + cycles_b;
-                    self.fstats.handler_refs += refs_a + refs_b;
-                    self.fstats.handler_instructions += 2;
-                    self.fstats.handler_jumps += jumped as u64;
-                }
-                Ok(StepOutcome::Ran)
-            }
-            Err(e) => {
-                // The first half ran to completion: commit it as a
-                // finished step, exactly as the unfused machine would
-                // have before failing on B.
-                self.stats.cycles += cycles_a;
-                self.stats.instructions += 1;
-                if in_handler {
-                    self.fstats.handler_cycles += cycles_a;
-                    self.fstats.handler_refs += refs_a;
-                    self.fstats.handler_instructions += 1;
-                }
-                // Half B faulted with nothing committed: recover with
-                // the restart point at B itself, exactly as the unfused
-                // machine would for a standalone step of `f.b`.
-                let flow_b = self.dispatch_fault(e, b_start)?;
-                let refs_b = self.refs_total() - refs_mid;
-                let divert_b = self.stats.divert_cycles - divert_mid;
-                let mut cycles_b = CYCLE_BASE + refs_b * CYCLE_MEMREF + divert_b;
-                let mut kind = None;
-                match flow_b {
-                    Flow::Next => {}
-                    Flow::Taken(k) => {
-                        cycles_b += CYCLE_REFILL;
-                        kind = k;
-                        debug_assert!(k.is_some(), "fault dispatch is a transfer");
-                    }
-                    Flow::Halt => self.halted = true,
-                }
-                self.stats.cycles += cycles_b;
-                self.stats.instructions += 1;
-                if let Some(k) = kind {
-                    self.stats.transfers.record(k, cycles_b, refs_b);
-                }
-                self.fstats.handler_cycles += cycles_b;
-                self.fstats.handler_refs += refs_b;
-                self.fstats.handler_instructions += 1;
-                Ok(StepOutcome::Ran)
-            }
-        }
-    }
-
-    /// Applies `f` to the evaluation-stack top in place (fused
-    /// arithmetic's "top caching"). Returns `false` so the fused match
-    /// arms read as `taken` expressions.
-    #[inline]
-    fn top_apply(&mut self, f: impl FnOnce(i16) -> i16) -> bool {
-        // Non-empty by the fusion depth guard; total anyway so the
-        // host never panics on a guard bug.
-        if let Some(t) = self.stack.last_mut() {
-            *t = f(*t as i16) as u16;
-        } else {
-            self.stack.push(f(0) as u16);
-        }
-        false
-    }
-
-    /// Fused compare+branch: pops both operands, branches on the
-    /// comparison without materialising the boolean. `on_true` selects
-    /// `JumpNotZero` semantics (branch when the compare holds) versus
-    /// `JumpZero` (branch when it fails). Returns whether it branched.
-    #[inline]
-    fn cmp_branch(
-        &mut self,
-        f: impl FnOnce(i16, i16) -> bool,
-        on_true: bool,
-        b_start: ByteAddr,
-        d: i32,
-    ) -> bool {
-        // Depth ≥ 2 by the fusion guard; total regardless (see
-        // `top_apply`).
-        let y = self.stack.pop().unwrap_or(0) as i16;
-        let x = self.stack.pop().unwrap_or(0) as i16;
-        if f(x, y) == on_true {
-            self.pc = b_start.displace(d);
-            true
-        } else {
-            false
-        }
+        self.commit(1, refs, divert, 0, None, in_handler);
+        self.step_rest(f.b, f.len_b, b_start)?;
+        self.fused_execs += 1;
+        Ok(StepOutcome::Ran)
     }
 
     /// The evaluation-stack depth limit in force. The configured
@@ -2847,7 +2370,7 @@ impl Machine {
     /// panic. Identity for every address a well-formed image produces.
     #[inline]
     fn wrap(&self, a: WordAddr) -> WordAddr {
-        WordAddr(a.0 % self.mem.size())
+        WordAddr(a.0 & self.wmask)
     }
 
     /// Bounds-checks a procedure header derived from guest-reachable
@@ -3134,15 +2657,14 @@ impl Machine {
     /// unbound fault can be raised before any state is committed. The
     /// counted walk happens later, on the committed path.
     fn precheck_proc_bound(&self, p: ProcDesc) -> Result<(), VmError> {
-        let size = self.mem.size();
-        let raw = self.mem.peek(WordAddr(
-            GFT_BASE.0.wrapping_add(p.env().get() as u32) % size,
-        ));
+        let raw = self
+            .mem
+            .peek(self.wrap(WordAddr(GFT_BASE.0.wrapping_add(p.env().get() as u32))));
         let entry = GftEntry::from_raw(raw);
         let gf = entry.global_frame();
         let cb_word = self
             .mem
-            .peek(WordAddr(gf.0.wrapping_add(layout::GF_CODE_BASE) % size));
+            .peek(self.wrap(WordAddr(gf.0.wrapping_add(layout::GF_CODE_BASE))));
         self.check_bound(layout::code_base_bytes(cb_word))
     }
 
@@ -3244,28 +2766,156 @@ impl Machine {
         r
     }
 
-    fn binary_op(&mut self, f: impl FnOnce(i16, i16) -> i16) -> Result<(), VmError> {
-        let b = self.pop()? as i16;
-        let a = self.pop()? as i16;
-        self.push(f(a, b) as u16)
-    }
-
-    fn compare(&mut self, f: impl FnOnce(i16, i16) -> bool) -> Result<(), VmError> {
-        let b = self.pop()? as i16;
-        let a = self.pop()? as i16;
-        self.push(f(a, b) as u16)
-    }
-
+    /// Executes one instruction under the interpreter's checks.
+    #[inline]
     fn execute(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
+        self.op::<Checked>(instr, || instr_start)
+    }
+
+    /// The shared handler set: the stack and memory semantics of every
+    /// straight-line opcode (the ones [`crate::predecode::fuse_model`]
+    /// admits, bar the transfers), written once and instantiated per
+    /// stack discipline — [`Checked`] for the interpreter, [`Guarded`]
+    /// for guarded fused pairs and native bursts. Binary, compare and
+    /// branch ops work on the stack top in place, so two composed
+    /// handlers need no push/pop round trip. Everything else falls
+    /// through to [`Machine::execute_rest`]. `at` yields the
+    /// instruction's address, which only jumps and the fall-through
+    /// read.
+    #[inline(always)]
+    fn op<D: StackDiscipline>(
+        &mut self,
+        instr: Instr,
+        at: impl FnOnce() -> ByteAddr,
+    ) -> Result<Flow, VmError> {
+        use Instr as I;
         match instr {
-            Instr::LoadLocal(n) => {
+            I::LoadLocal(n) => {
                 let v = self.read_local(n as u32);
-                self.push(v)?;
+                D::push(self, v)?;
             }
-            Instr::StoreLocal(n) => {
-                let v = self.pop()?;
+            I::StoreLocal(n) => {
+                let v = D::pop(self)?;
                 self.write_local(n as u32, v);
             }
+            I::LoadGlobal(n) => {
+                self.obs_global(n as u32, false);
+                let v = self.mem.read(self.global_addr(n as u32));
+                D::push(self, v)?;
+            }
+            I::LoadGlobalAddr(n) => {
+                let addr = self.global_addr(n as u32);
+                D::push(self, addr.0 as u16)?;
+            }
+            I::StoreGlobal(n) => {
+                self.obs_global(n as u32, true);
+                let v = D::pop(self)?;
+                self.mem.write(self.global_addr(n as u32), v);
+            }
+            I::LoadImm(v) => D::push(self, v)?,
+            I::Read => {
+                self.obs(|o| o.reads_memory = true);
+                let addr = WordAddr(D::pop(self)? as u32);
+                let v = self.read_indirect(addr);
+                D::push(self, v)?;
+            }
+            I::Write => {
+                self.obs(|o| o.writes_memory = true);
+                let addr = WordAddr(D::pop(self)? as u32);
+                let v = D::pop(self)?;
+                self.write_indirect(addr, v);
+            }
+            I::LoadIndex => {
+                self.obs(|o| o.reads_memory = true);
+                let idx = D::pop(self)?;
+                let base = D::pop(self)?;
+                let v = self.read_indirect(WordAddr(base.wrapping_add(idx) as u32));
+                D::push(self, v)?;
+            }
+            I::StoreIndex => {
+                self.obs(|o| o.writes_memory = true);
+                let idx = D::pop(self)?;
+                let base = D::pop(self)?;
+                let v = D::pop(self)?;
+                self.write_indirect(WordAddr(base.wrapping_add(idx) as u32), v);
+            }
+            I::Add => self.binary::<D>(|a, b| a.wrapping_add(b))?,
+            I::Sub => self.binary::<D>(|a, b| a.wrapping_sub(b))?,
+            I::Mul => self.binary::<D>(|a, b| a.wrapping_mul(b))?,
+            I::And => self.binary::<D>(|a, b| a & b)?,
+            I::Or => self.binary::<D>(|a, b| a | b)?,
+            I::Xor => self.binary::<D>(|a, b| a ^ b)?,
+            I::Shl => self.binary::<D>(|v, n| ((v as u16) << (n & 0x0F)) as i16)?,
+            I::Shr => self.binary::<D>(|v, n| ((v as u16) >> (n & 0x0F)) as i16)?,
+            I::CmpEq => self.binary::<D>(|a, b| (a == b) as i16)?,
+            I::CmpNe => self.binary::<D>(|a, b| (a != b) as i16)?,
+            I::CmpLt => self.binary::<D>(|a, b| (a < b) as i16)?,
+            I::CmpLe => self.binary::<D>(|a, b| (a <= b) as i16)?,
+            I::CmpGt => self.binary::<D>(|a, b| (a > b) as i16)?,
+            I::CmpGe => self.binary::<D>(|a, b| (a >= b) as i16)?,
+            I::Neg => D::map_top(self, |a| (a as i16).wrapping_neg() as u16)?,
+            I::AddImm(n) => D::map_top(self, |v| v.wrapping_add(n as u16))?,
+            I::Dup => {
+                let v = D::pop(self)?;
+                D::push(self, v)?;
+                D::push(self, v)?;
+            }
+            I::Drop => {
+                D::pop(self)?;
+            }
+            I::Exch => {
+                let b = D::pop(self)?;
+                let a = D::pop(self)?;
+                D::push(self, b)?;
+                D::push(self, a)?;
+            }
+            I::Out => {
+                self.obs(|o| o.writes_output = true);
+                let v = D::pop(self)?;
+                self.output.push(v);
+            }
+            I::Noop => {}
+            I::Jump(d) | I::JumpZero(d) | I::JumpNotZero(d) => {
+                if self.branch::<D>(instr)? {
+                    self.pc = at().displace(d);
+                    return Ok(Flow::Taken(None));
+                }
+            }
+            _ => return self.execute_rest(instr, at()),
+        }
+        Ok(Flow::Next)
+    }
+
+    /// Binary and compare ops: pops the right operand and combines it
+    /// into the stack top in place.
+    #[inline(always)]
+    fn binary<D: StackDiscipline>(
+        &mut self,
+        f: impl FnOnce(i16, i16) -> i16,
+    ) -> Result<(), VmError> {
+        let b = D::pop(self)? as i16;
+        D::map_top(self, |a| f(a as i16, b) as u16)
+    }
+
+    /// Whether a jump is taken, popping a conditional jump's operand.
+    /// The displacement is the caller's: the interpreter applies it,
+    /// the native tier has already resolved it to an op index.
+    #[inline(always)]
+    fn branch<D: StackDiscipline>(&mut self, instr: Instr) -> Result<bool, VmError> {
+        Ok(match instr {
+            Instr::JumpZero(_) => D::pop(self)? == 0,
+            Instr::JumpNotZero(_) => D::pop(self)? != 0,
+            _ => true,
+        })
+    }
+
+    /// Everything outside the shared handler set: transfers, traps,
+    /// contexts, processes, heap and module ops, and the ops that can
+    /// fail for reasons other than stack depth. Always checked, and
+    /// kept out of line so the hot handler loops stay small.
+    #[inline(never)]
+    fn execute_rest(&mut self, instr: Instr, instr_start: ByteAddr) -> Result<Flow, VmError> {
+        match instr {
             Instr::LoadLocalAddr(n) => {
                 if self.banks.is_some()
                     && matches!(
@@ -3278,50 +2928,6 @@ impl Machine {
                 let addr = layout::local_slot(self.lf, n as u32);
                 self.push(addr.0 as u16)?;
             }
-            Instr::LoadGlobal(n) => {
-                self.obs_global(n as u32, false);
-                let v = self.mem.read(self.global_addr(n as u32));
-                self.push(v)?;
-            }
-            Instr::LoadGlobalAddr(n) => {
-                let addr = self.global_addr(n as u32);
-                self.push(addr.0 as u16)?;
-            }
-            Instr::StoreGlobal(n) => {
-                self.obs_global(n as u32, true);
-                let v = self.pop()?;
-                self.mem.write(self.global_addr(n as u32), v);
-            }
-            Instr::LoadImm(v) => self.push(v)?,
-            Instr::Read => {
-                self.obs(|o| o.reads_memory = true);
-                let addr = WordAddr(self.pop()? as u32);
-                let v = self.read_indirect(addr);
-                self.push(v)?;
-            }
-            Instr::Write => {
-                self.obs(|o| o.writes_memory = true);
-                let addr = WordAddr(self.pop()? as u32);
-                let v = self.pop()?;
-                self.write_indirect(addr, v);
-            }
-            Instr::LoadIndex => {
-                self.obs(|o| o.reads_memory = true);
-                let idx = self.pop()?;
-                let base = self.pop()?;
-                let v = self.read_indirect(WordAddr(base.wrapping_add(idx) as u32));
-                self.push(v)?;
-            }
-            Instr::StoreIndex => {
-                self.obs(|o| o.writes_memory = true);
-                let idx = self.pop()?;
-                let base = self.pop()?;
-                let v = self.pop()?;
-                self.write_indirect(WordAddr(base.wrapping_add(idx) as u32), v);
-            }
-            Instr::Add => self.binary_op(|a, b| a.wrapping_add(b))?,
-            Instr::Sub => self.binary_op(|a, b| a.wrapping_sub(b))?,
-            Instr::Mul => self.binary_op(|a, b| a.wrapping_mul(b))?,
             Instr::Div => {
                 let b = self.pop()? as i16;
                 let a = self.pop()? as i16;
@@ -3337,62 +2943,6 @@ impl Machine {
                     return self.restartable_trap(TrapCode::DivideByZero, &[a as u16, b as u16]);
                 }
                 self.push(a.wrapping_rem(b) as u16)?;
-            }
-            Instr::Neg => {
-                let a = self.pop()? as i16;
-                self.push(a.wrapping_neg() as u16)?;
-            }
-            Instr::And => self.binary_op(|a, b| a & b)?,
-            Instr::Or => self.binary_op(|a, b| a | b)?,
-            Instr::Xor => self.binary_op(|a, b| a ^ b)?,
-            Instr::Shl => {
-                let n = self.pop()? & 0x0F;
-                let v = self.pop()?;
-                self.push(v << n)?;
-            }
-            Instr::Shr => {
-                let n = self.pop()? & 0x0F;
-                let v = self.pop()?;
-                self.push(v >> n)?;
-            }
-            Instr::CmpEq => self.compare(|a, b| a == b)?,
-            Instr::CmpNe => self.compare(|a, b| a != b)?,
-            Instr::CmpLt => self.compare(|a, b| a < b)?,
-            Instr::CmpLe => self.compare(|a, b| a <= b)?,
-            Instr::CmpGt => self.compare(|a, b| a > b)?,
-            Instr::CmpGe => self.compare(|a, b| a >= b)?,
-            Instr::AddImm(n) => {
-                let v = self.pop()?;
-                self.push(v.wrapping_add(n as u16))?;
-            }
-            Instr::Dup => {
-                let v = *self.stack.last().ok_or(VmError::StackUnderflow)?;
-                self.push(v)?;
-            }
-            Instr::Drop => {
-                self.pop()?;
-            }
-            Instr::Exch => {
-                let b = self.pop()?;
-                let a = self.pop()?;
-                self.push(b)?;
-                self.push(a)?;
-            }
-            Instr::Jump(d) => {
-                self.pc = instr_start.displace(d);
-                return Ok(Flow::Taken(None));
-            }
-            Instr::JumpZero(d) => {
-                if self.pop()? == 0 {
-                    self.pc = instr_start.displace(d);
-                    return Ok(Flow::Taken(None));
-                }
-            }
-            Instr::JumpNotZero(d) => {
-                if self.pop()? != 0 {
-                    self.pc = instr_start.displace(d);
-                    return Ok(Flow::Taken(None));
-                }
             }
             Instr::ExternalCall(k) => {
                 // The remote intercept runs before any counted memory
@@ -3596,13 +3146,9 @@ impl Machine {
                 let w = self.pop()?;
                 self.failover_requests.push(w);
             }
-            Instr::Out => {
-                self.obs(|o| o.writes_output = true);
-                let v = self.pop()?;
-                self.output.push(v);
-            }
             Instr::Halt => return Ok(Flow::Halt),
-            Instr::Noop => {}
+            // The shared handler set, reached only through `op`.
+            _ => return self.op::<Checked>(instr, || instr_start),
         }
         Ok(Flow::Next)
     }
@@ -4252,6 +3798,195 @@ mod tests {
         // jump (2 cycles) + halt (1 cycle)
         assert_eq!(m.stats().cycles, 3);
         assert_eq!(m.stats().jumps_taken, 1);
+    }
+
+    #[test]
+    fn memory_size_must_be_a_power_of_two() {
+        let image = fib_local_calls();
+        assert_eq!(
+            Machine::load(&image, MachineConfig::i2().with_memory_words(3000)).unwrap_err(),
+            VmError::MemorySize { words: 3000 }
+        );
+        let m = run_image(&image, MachineConfig::i2().with_memory_words(2048));
+        assert_eq!(m.output(), &[55]);
+    }
+
+    /// One instruction of every opcode (operands are samples).
+    fn every_opcode() -> Vec<Instr> {
+        use Instr::*;
+        vec![
+            LoadLocal(1),
+            StoreLocal(1),
+            LoadLocalAddr(1),
+            LoadGlobalAddr(0),
+            LoadGlobal(0),
+            StoreGlobal(0),
+            LoadImm(0x1234),
+            Read,
+            Write,
+            LoadIndex,
+            StoreIndex,
+            Add,
+            Sub,
+            Mul,
+            Div,
+            Mod,
+            Neg,
+            And,
+            Or,
+            Xor,
+            Shl,
+            Shr,
+            CmpEq,
+            CmpNe,
+            CmpLt,
+            CmpLe,
+            CmpGt,
+            CmpGe,
+            AddImm(9),
+            Dup,
+            Drop,
+            Exch,
+            Jump(5),
+            JumpZero(5),
+            JumpNotZero(5),
+            ExternalCall(0),
+            LocalCall(0),
+            DirectCall(0),
+            ShortDirectCall(0),
+            Ret,
+            Xfer,
+            NewContext,
+            FreeContext,
+            ReturnContext,
+            AllocRecord(4),
+            FreeRecord,
+            Donate,
+            BindModule,
+            RemoteInfo,
+            Failover,
+            Trap(1),
+            ProcessSwitch,
+            Spawn,
+            Out,
+            Halt,
+            Noop,
+        ]
+    }
+
+    /// The opcodes with a shared handler: the non-transfer ops a fused
+    /// pair admits in second position.
+    fn shared_opcodes() -> Vec<Instr> {
+        every_opcode()
+            .into_iter()
+            .filter(|&i| matches!(crate::predecode::fuse_model(i, true), Some((_, _, false))))
+            .collect()
+    }
+
+    /// Runs one shared handler under discipline `D` on a fresh machine
+    /// with a deep stack, commits it as a step, and flattens every
+    /// simulated observable.
+    fn run_handler<D: StackDiscipline>(image: &Image, cfg: MachineConfig, instr: Instr) -> String {
+        let mut m = Machine::load(image, cfg).unwrap();
+        m.write_local(1, 77);
+        // Deep enough for any handler; the top words double as
+        // addresses (of a local, so banked machines divert), shift
+        // counts and branch conditions.
+        let local = layout::local_slot(m.lf, 1).0 as u16;
+        m.stack.extend_from_slice(&[600, 601, local, 0, local]);
+        let at = m.pc;
+        let meter = m.meter();
+        let flow = m.op::<D>(instr, || at).unwrap();
+        let (refs, divert) = m.since(meter);
+        let (jumps, kind) = m.settle_flow(flow);
+        m.commit(1, refs, divert, jumps, kind, false);
+        let mem: Vec<u16> = (0..m.mem.size())
+            .map(|a| m.peek_word(WordAddr(a)))
+            .collect();
+        format!(
+            "pc={:?} stack={:?} out={:?} stats={:?} mem_stats={:?} banks={:?} mem={mem:?}",
+            m.pc,
+            m.stack,
+            m.output,
+            m.stats,
+            m.mem_stats(),
+            m.bank_stats()
+        )
+    }
+
+    #[test]
+    fn checked_and_guarded_handlers_agree() {
+        let build = |bank_args: bool| {
+            let mut b = ImageBuilder::new();
+            if bank_args {
+                b.bank_args();
+            }
+            let m = b.module("main");
+            b.global(m, 5);
+            b.proc_with(m, ProcSpec::new("main", 0, 4).with_addr_taken(), |a| {
+                a.instr(Instr::Halt);
+            });
+            b.build(ProcRef {
+                module: 0,
+                ev_index: 0,
+            })
+            .unwrap()
+        };
+        let shared = shared_opcodes();
+        assert_eq!(shared.len(), 34, "the shared handler set: {shared:?}");
+        let divert = crate::config::BankConfig {
+            ptr_policy: PtrLocalPolicy::Divert,
+            ..crate::config::BankConfig::paper_default()
+        };
+        for (name, cfg, image) in [
+            ("i2", MachineConfig::i2(), build(false)),
+            (
+                "i4",
+                MachineConfig::i4().with_banks(Some(divert)),
+                build(true),
+            ),
+        ] {
+            for &instr in &shared {
+                assert_eq!(
+                    run_handler::<Checked>(&image, cfg, instr),
+                    run_handler::<Guarded>(&image, cfg, instr),
+                    "{name}: {instr:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pair_table_arms_match_fusion() {
+        let len = |i: Instr| {
+            let mut v = Vec::new();
+            i.encode(&mut v);
+            v.len() as u8
+        };
+        let mut shapes = std::collections::HashSet::new();
+        for &(class, a, b) in PAIR_TABLE {
+            let f = crate::predecode::fuse_pair(a, b, len(a), len(b))
+                .unwrap_or_else(|| panic!("{a:?}, {b:?} is not a fused pair"));
+            let routed = match (f.xfer, f.pure) {
+                (true, _) => "xfer",
+                (false, true) => "pure",
+                (false, false) => "mem",
+            };
+            assert_eq!(class, routed, "{a:?}, {b:?} sits in the wrong arm set");
+            let shape = (std::mem::discriminant(&a), std::mem::discriminant(&b));
+            assert!(shapes.insert(shape), "{a:?}, {b:?} listed twice");
+        }
+        // Every transfer can follow an `xfer` first half.
+        for &(_, a, _) in PAIR_TABLE.iter().filter(|e| e.0 == "xfer") {
+            for b in every_opcode() {
+                if matches!(crate::predecode::fuse_model(b, true), Some((_, _, true))) {
+                    assert!(
+                        crate::predecode::fuse_pair(a, b, len(a), len(b)).is_some_and(|f| f.xfer)
+                    );
+                }
+            }
+        }
+        assert_eq!(PAIR_TABLE.len(), 49 + 2);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The interpreted dispatch modes (byte decode, fused predecode) still
 //! pay an interpretive dispatch per step. This module adds a third
 //! rung, [`crate::Dispatch::Native`]: hot procedure bodies are compiled
-//! once into a chain of pre-monomorphized host handlers ([`NOp`]) with
-//! operands inlined and jump targets resolved to op indices —
-//! direct-threaded code in safe Rust, no runtime codegen.
+//! once into a chain of handler ops ([`NOp`]) with operands inlined and
+//! jump targets resolved to op indices — direct-threaded code in safe
+//! Rust, no runtime codegen.
 //!
 //! # Licensing
 //!
@@ -21,13 +21,16 @@
 //!
 //! # Charge-not-perform
 //!
-//! Native handlers keep every simulated counter bit-identical to byte
-//! dispatch: fast handlers charge exactly the cycles, memory references
-//! and jump-refills the interpreter would, and perform the same counted
-//! [`fpc_mem::Memory`] traffic. Anything with non-trivial accounting
-//! (calls, returns, XFER, traps, heap ops, diverted bank references)
-//! falls back to the interpreter's own `step_one`, instruction by
-//! instruction, inside the native burst.
+//! Native code keeps every simulated counter bit-identical to byte
+//! dispatch because it runs the interpreter's own per-opcode handlers:
+//! a straight-line op calls the same shared handler as the interpreter
+//! (with the stack checks the license proves redundant elided), making
+//! the same counted [`fpc_mem::Memory`] and bank traffic, and the burst
+//! charges its fast segments through the interpreter's one cost commit,
+//! from the reference and divert deltas. Calls, returns and everything
+//! with its own accounting (XFER, traps, heap ops, fallible ops) retire
+//! through the interpreter's `step_rest`, instruction by instruction,
+//! inside the burst.
 //!
 //! # Deoptimization
 //!
@@ -45,6 +48,8 @@ use std::sync::Arc;
 
 use fpc_isa::Instr;
 use fpc_stats::Histogram;
+
+use crate::predecode::fuse_model;
 
 /// License to run the native tier, normally obtained from
 /// `fpc_verify::Certificate::native_license()`.
@@ -107,68 +112,20 @@ pub struct NativeStats {
 
 /// One direct-threaded host handler with operands inlined.
 ///
-/// Fast variants replicate the interpreter's execute arm *and* its
-/// accounting exactly; everything else lowers to [`NOp::Interp`].
-/// Memory-touching fast ops only exist when register banks are off
-/// (`fast_mem`), since bank shadow hits divert accounting.
+/// Straight-line ops run the interpreter's own shared handlers (see
+/// [`lower`]); the burst charges them by reference deltas, so no variant
+/// carries a cost of its own.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NOp {
-    /// `LoadImm`: push a literal.
-    Imm(u16),
-    /// `LoadLocal` (banks off): one counted read of the local slot.
-    LocalRd(u8),
-    /// `StoreLocal` (banks off): one counted write of the local slot.
-    LocalWr(u8),
-    /// `LoadLocalAddr` (banks off): pure address push.
-    LocalAddr(u8),
-    /// `LoadGlobal`: one counted read of the global slot.
-    GlobalRd(u8),
-    /// `StoreGlobal`: one counted write of the global slot.
-    GlobalWr(u8),
-    /// `LoadGlobalAddr`: pure address push.
-    GlobalAddr(u8),
-    /// `Read` (banks off): counted read at a popped address.
-    Read,
-    /// `Write` (banks off): counted write at a popped address.
-    Write,
-    /// `LoadIndex` (banks off): counted read at base + index.
-    LoadIndex,
-    /// `StoreIndex` (banks off): counted write at base + index.
-    StoreIndex,
-    Add,
-    Sub,
-    Mul,
-    Neg,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    CmpEq,
-    CmpNe,
-    CmpLt,
-    CmpLe,
-    CmpGt,
-    CmpGe,
-    AddImm(u8),
-    Dup,
-    Drop,
-    Exch,
-    Out,
-    Noop,
-    /// Unconditional jump to a resolved op index.
-    Jmp(u32),
-    /// Pop; jump to the resolved op index if zero.
-    Jz(u32),
-    /// Pop; jump to the resolved op index if non-zero.
-    Jnz(u32),
-    /// Interpreter fallback: run this instruction through `step_one`.
-    Interp(Instr, u8),
-    /// Call/return fast path: full interpreter semantics and
-    /// accounting, minus the handler-attribution bookkeeping that is
-    /// provably dead while the tier is armed (arming requires no
-    /// installed trap or fault handlers).
+    /// A straight-line op: its shared handler, stack checks elided.
+    Op(Instr),
+    /// A jump, with its in-body target resolved to an op index.
+    Br(Instr, u32),
+    /// A call or return: retires through the interpreter's `step_rest`,
+    /// and is a fusion tail for the argument-setup superinstructions.
     Call(Instr, u8),
+    /// Interpreter fallback: run this instruction through `step_rest`.
+    Interp(Instr, u8),
     /// Fell off the end of the compiled body; resume interpretation.
     Exit,
     /// Fused `LoadLocal n; LoadImm v` — two instructions, one dispatch.
@@ -179,19 +136,17 @@ pub(crate) enum NOp {
     AddIW(u16),
     /// Fused `LoadImm v; Sub`.
     SubIW(u16),
-    /// Fused compare + `JumpZero`: pops both operands and jumps when
-    /// the comparison is false (the interpreter would push 0 and `Jz`
-    /// would take it).
-    CmpJz(Cmp, u32),
+    /// Fused compare + `JumpZero`.
+    CmpJz(Instr, u32),
     /// Fused `LoadLocal n; LoadImm v; Sub` — push `local − v`.
     LdSubI(u8, u16),
     /// Fused `LoadLocal n; LoadImm v; Add` — push `local + v`.
     LdAddI(u8, u16),
     /// Fused guard `LoadLocal n; LoadImm v; cmp; JumpZero`: four
     /// instructions, one dispatch, zero net stack traffic.
-    LdICmpJz(u8, u16, Cmp, u32),
+    LdICmpJz(u8, u16, Instr, u32),
     /// Fused guard `LoadLocal n; LoadLocal m; cmp; JumpZero`.
-    LdLdCmpJz(u8, u8, Cmp, u32),
+    LdLdCmpJz(u8, u8, Instr, u32),
     /// Fused `LoadLocal n; Exch; Add` — pop `t`, push `local + t` (the
     /// accumulate-result idiom in recursive epilogues).
     LdXAdd(u8),
@@ -211,31 +166,6 @@ pub(crate) enum NOp {
     LdXAddCall(u8, u8, Instr, u8),
     /// Fused `StoreLocal n; Jump` — the store-result-and-loop tail.
     WrJmp(u8, u32),
-}
-
-/// Comparison selector for the fused [`NOp::CmpJz`] handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cmp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl Cmp {
-    #[inline]
-    pub fn eval(self, a: i16, b: i16) -> bool {
-        match self {
-            Cmp::Eq => a == b,
-            Cmp::Ne => a != b,
-            Cmp::Lt => a < b,
-            Cmp::Le => a <= b,
-            Cmp::Gt => a > b,
-            Cmp::Ge => a >= b,
-        }
-    }
 }
 
 /// A compiled procedure body. Immutable once built; shared with the
@@ -424,11 +354,11 @@ impl NativeTier {
 
     /// Compiles `[body, end)` and maps its bytes. Returns false when
     /// the body is unusable (nothing decodes) or the table is full.
-    pub fn compile(&mut self, code: &[u8], body: u32, end: u32, fast_mem: bool) -> bool {
+    pub fn compile(&mut self, code: &[u8], body: u32, end: u32) -> bool {
         if end <= body || self.procs.len() >= (REFUSED - 1) as usize {
             return false;
         }
-        let proc = compile_body(code, body, end, fast_mem);
+        let proc = compile_body(code, body, end);
         if proc.ops.len() <= 1 {
             return false;
         }
@@ -500,7 +430,7 @@ impl NativeTier {
 
 /// Lowers one decoded body into a direct-threaded chain. Stops at the
 /// first undecodable byte (that suffix stays interpreter-only).
-fn compile_body(code: &[u8], body: u32, end: u32, fast_mem: bool) -> NativeProc {
+fn compile_body(code: &[u8], body: u32, end: u32) -> NativeProc {
     let mut decoded: Vec<(u32, Instr, u8)> = Vec::new();
     for step in fpc_isa::walk(code, body as usize, end as usize) {
         match step {
@@ -516,7 +446,7 @@ fn compile_body(code: &[u8], body: u32, end: u32, fast_mem: bool) -> NativeProc 
     let mut offs = Vec::with_capacity(decoded.len() + 1);
     for &(at, instr, len) in &decoded {
         offs.push(at);
-        ops.push(lower(instr, len, at, body, end, &off_to_ip, fast_mem));
+        ops.push(lower(instr, len, at, body, end, &off_to_ip));
     }
     offs.push(decoded.last().map_or(body, |&(at, _, len)| at + len as u32));
     ops.push(NOp::Exit);
@@ -544,7 +474,7 @@ fn fuse(p: NativeProc) -> NativeProc {
     let mut blocked = vec![false; n];
     for (i, op) in p.ops.iter().enumerate() {
         match *op {
-            NOp::Jmp(t) | NOp::Jz(t) | NOp::Jnz(t) => blocked[t as usize] = true,
+            NOp::Br(_, t) => blocked[t as usize] = true,
             // Returns land on the op after a call, and the interpreter
             // resumes after a fallback op: both must stay mapped.
             NOp::Interp(..) | NOp::Call(..) if i + 1 < n => blocked[i + 1] = true,
@@ -591,37 +521,34 @@ fn fuse(p: NativeProc) -> NativeProc {
     }
 }
 
-fn cmp_of(op: NOp) -> Option<Cmp> {
-    match op {
-        NOp::CmpEq => Some(Cmp::Eq),
-        NOp::CmpNe => Some(Cmp::Ne),
-        NOp::CmpLt => Some(Cmp::Lt),
-        NOp::CmpLe => Some(Cmp::Le),
-        NOp::CmpGt => Some(Cmp::Gt),
-        NOp::CmpGe => Some(Cmp::Ge),
-        _ => None,
-    }
+/// The native superinstructions' compare operand.
+fn is_cmp(i: Instr) -> bool {
+    use Instr::*;
+    matches!(i, CmpEq | CmpNe | CmpLt | CmpLe | CmpGt | CmpGe)
 }
 
 /// Longest fusible run starting at `i`; 1 means no fusion.
 fn match_len(ops: &[NOp], blocked: &[bool], i: usize) -> u8 {
+    use Instr::*;
+    use NOp::{Br, Call, Op};
     let w = &ops[i..];
     let clear = |upto: usize| (1..=upto).all(|k| !blocked.get(i + k).copied().unwrap_or(true));
     if w.len() >= 4 && clear(3) {
-        if let [NOp::LocalRd(_), NOp::Imm(_) | NOp::LocalRd(_), c, NOp::Jz(_), ..] = *w {
-            if cmp_of(c).is_some() {
+        if let [Op(LoadLocal(_)), Op(LoadImm(_) | LoadLocal(_)), Op(c), Br(JumpZero(_), _), ..] = *w
+        {
+            if is_cmp(c) {
                 return 4;
             }
         }
         if matches!(
             *w,
             [
-                NOp::LocalRd(_),
-                NOp::Imm(_),
-                NOp::Sub | NOp::Add,
-                NOp::Call(..),
+                Op(LoadLocal(_)),
+                Op(LoadImm(_)),
+                Op(Sub | Add),
+                Call(..),
                 ..
-            ] | [NOp::LocalRd(_), NOp::Exch, NOp::Add, NOp::Call(..), ..]
+            ] | [Op(LoadLocal(_)), Op(Exch), Op(Add), Call(..), ..]
         ) {
             return 4;
         }
@@ -630,9 +557,9 @@ fn match_len(ops: &[NOp], blocked: &[bool], i: usize) -> u8 {
         && clear(2)
         && matches!(
             *w,
-            [NOp::LocalRd(_), NOp::Imm(_), NOp::Sub | NOp::Add, ..]
-                | [NOp::LocalRd(_), NOp::LocalRd(_), NOp::Call(..), ..]
-                | [NOp::LocalRd(_), NOp::Exch, NOp::Add, ..]
+            [Op(LoadLocal(_)), Op(LoadImm(_)), Op(Sub | Add), ..]
+                | [Op(LoadLocal(_)), Op(LoadLocal(_)), Call(..), ..]
+                | [Op(LoadLocal(_)), Op(Exch), Op(Add), ..]
         )
     {
         return 3;
@@ -644,78 +571,71 @@ fn match_len(ops: &[NOp], blocked: &[bool], i: usize) -> u8 {
 }
 
 fn pairable(a: NOp, b: NOp) -> bool {
-    matches!(
-        (a, b),
-        (NOp::LocalRd(_), NOp::Imm(_))
-            | (NOp::LocalRd(_), NOp::LocalRd(_))
-            | (NOp::LocalRd(_), NOp::Call(..))
-            | (NOp::LocalWr(_), NOp::Jmp(_))
-            | (NOp::Imm(_), NOp::Add)
-            | (NOp::Imm(_), NOp::Sub)
-            | (
-                NOp::CmpEq | NOp::CmpNe | NOp::CmpLt | NOp::CmpLe | NOp::CmpGt | NOp::CmpGe,
-                NOp::Jz(_)
-            )
-    )
+    use Instr::*;
+    use NOp::{Br, Call, Op};
+    match (a, b) {
+        (Op(c), Br(JumpZero(_), _)) => is_cmp(c),
+        _ => matches!(
+            (a, b),
+            (Op(LoadLocal(_)), Op(LoadImm(_)))
+                | (Op(LoadLocal(_)), Op(LoadLocal(_)))
+                | (Op(LoadLocal(_)), Call(..))
+                | (Op(StoreLocal(_)), Br(Jump(_), _))
+                | (Op(LoadImm(_)), Op(Add))
+                | (Op(LoadImm(_)), Op(Sub))
+        ),
+    }
 }
 
 /// `offs` is the byte-offset slice matching `run`; call-terminated
 /// fusions record the call's distance from the run start so the burst
 /// can reconstruct the call's architectural instruction address.
 fn combine(run: &[NOp], offs: &[u32], remap: &[u32]) -> NOp {
+    use Instr::*;
+    use NOp::{Br, Call, Op};
     let delta = || (offs[run.len() - 1] - offs[0]) as u8;
     match *run {
-        [op] => retarget(op, remap),
-        [NOp::LocalRd(n), NOp::Imm(v), c, NOp::Jz(t)] => {
-            NOp::LdICmpJz(n, v, cmp_of(c).expect("matched"), remap[t as usize])
+        [Br(instr, t)] => Br(instr, remap[t as usize]),
+        [op] => op,
+        [Op(LoadLocal(n)), Op(LoadImm(v)), Op(c), Br(_, t)] => {
+            NOp::LdICmpJz(n, v, c, remap[t as usize])
         }
-        [NOp::LocalRd(n), NOp::LocalRd(m), c, NOp::Jz(t)] => {
-            NOp::LdLdCmpJz(n, m, cmp_of(c).expect("matched"), remap[t as usize])
+        [Op(LoadLocal(n)), Op(LoadLocal(m)), Op(c), Br(_, t)] => {
+            NOp::LdLdCmpJz(n, m, c, remap[t as usize])
         }
-        [NOp::LocalRd(n), NOp::Imm(v), NOp::Sub, NOp::Call(instr, len)] => {
+        [Op(LoadLocal(n)), Op(LoadImm(v)), Op(Sub), Call(instr, len)] => {
             NOp::LdSubICall(n, v, delta(), instr, len)
         }
-        [NOp::LocalRd(n), NOp::Imm(v), NOp::Add, NOp::Call(instr, len)] => {
+        [Op(LoadLocal(n)), Op(LoadImm(v)), Op(Add), Call(instr, len)] => {
             NOp::LdAddICall(n, v, delta(), instr, len)
         }
-        [NOp::LocalRd(n), NOp::Exch, NOp::Add, NOp::Call(instr, len)] => {
+        [Op(LoadLocal(n)), Op(Exch), Op(Add), Call(instr, len)] => {
             NOp::LdXAddCall(n, delta(), instr, len)
         }
-        [NOp::LocalRd(n), NOp::Imm(v), NOp::Sub] => NOp::LdSubI(n, v),
-        [NOp::LocalRd(n), NOp::Imm(v), NOp::Add] => NOp::LdAddI(n, v),
-        [NOp::LocalRd(n), NOp::LocalRd(m), NOp::Call(instr, len)] => {
+        [Op(LoadLocal(n)), Op(LoadImm(v)), Op(Sub)] => NOp::LdSubI(n, v),
+        [Op(LoadLocal(n)), Op(LoadImm(v)), Op(Add)] => NOp::LdAddI(n, v),
+        [Op(LoadLocal(n)), Op(LoadLocal(m)), Call(instr, len)] => {
             NOp::LdLdCall(n, m, delta(), instr, len)
         }
-        [NOp::LocalRd(n), NOp::Exch, NOp::Add] => NOp::LdXAdd(n),
-        [NOp::LocalRd(n), NOp::Imm(v)] => NOp::Ld2(n, v),
-        [NOp::LocalRd(n), NOp::LocalRd(m)] => NOp::LdLd(n, m),
-        [NOp::LocalRd(n), NOp::Call(instr, len)] => NOp::LdCall(n, delta(), instr, len),
-        [NOp::LocalWr(n), NOp::Jmp(t)] => NOp::WrJmp(n, remap[t as usize]),
-        [NOp::Imm(v), NOp::Add] => NOp::AddIW(v),
-        [NOp::Imm(v), NOp::Sub] => NOp::SubIW(v),
-        [c, NOp::Jz(t)] => NOp::CmpJz(cmp_of(c).expect("pairable matched"), remap[t as usize]),
+        [Op(LoadLocal(n)), Op(Exch), Op(Add)] => NOp::LdXAdd(n),
+        [Op(LoadLocal(n)), Op(LoadImm(v))] => NOp::Ld2(n, v),
+        [Op(LoadLocal(n)), Op(LoadLocal(m))] => NOp::LdLd(n, m),
+        [Op(LoadLocal(n)), Call(instr, len)] => NOp::LdCall(n, delta(), instr, len),
+        [Op(StoreLocal(n)), Br(_, t)] => NOp::WrJmp(n, remap[t as usize]),
+        [Op(LoadImm(v)), Op(Add)] => NOp::AddIW(v),
+        [Op(LoadImm(v)), Op(Sub)] => NOp::SubIW(v),
+        [Op(c), Br(_, t)] => NOp::CmpJz(c, remap[t as usize]),
         _ => unreachable!("match_len() admitted an uncombinable run"),
     }
 }
 
-fn retarget(op: NOp, remap: &[u32]) -> NOp {
-    match op {
-        NOp::Jmp(t) => NOp::Jmp(remap[t as usize]),
-        NOp::Jz(t) => NOp::Jz(remap[t as usize]),
-        NOp::Jnz(t) => NOp::Jnz(remap[t as usize]),
-        other => other,
-    }
-}
-
-fn lower(
-    instr: Instr,
-    len: u8,
-    at: u32,
-    body: u32,
-    end: u32,
-    off_to_ip: &[u32],
-    fast_mem: bool,
-) -> NOp {
+/// Lowers one instruction. Four rules: a jump becomes its resolved
+/// in-body target, a call or return becomes [`NOp::Call`], an op
+/// outside the shared handler set (it can fail for reasons other than
+/// stack depth, or carries its own accounting) becomes [`NOp::Interp`],
+/// and everything else calls the shared handler. The handler set is
+/// exactly the ops [`fuse_model`] admits as a pair's second half.
+fn lower(instr: Instr, len: u8, at: u32, body: u32, end: u32, off_to_ip: &[u32]) -> NOp {
     // Displacements are from instruction start; a target outside the
     // body (or mid-instruction) goes through the interpreter, which
     // re-enters native code if the landing pad is compiled.
@@ -728,51 +648,14 @@ fn lower(
         (ip != u32::MAX).then_some(ip)
     };
     match instr {
-        Instr::LoadImm(v) => NOp::Imm(v),
-        Instr::LoadLocal(n) if fast_mem => NOp::LocalRd(n),
-        Instr::StoreLocal(n) if fast_mem => NOp::LocalWr(n),
-        Instr::LoadLocalAddr(n) if fast_mem => NOp::LocalAddr(n),
-        Instr::LoadGlobal(n) => NOp::GlobalRd(n),
-        Instr::StoreGlobal(n) => NOp::GlobalWr(n),
-        Instr::LoadGlobalAddr(n) => NOp::GlobalAddr(n),
-        Instr::Read if fast_mem => NOp::Read,
-        Instr::Write if fast_mem => NOp::Write,
-        Instr::LoadIndex if fast_mem => NOp::LoadIndex,
-        Instr::StoreIndex if fast_mem => NOp::StoreIndex,
-        Instr::Add => NOp::Add,
-        Instr::Sub => NOp::Sub,
-        Instr::Mul => NOp::Mul,
-        Instr::Neg => NOp::Neg,
-        Instr::And => NOp::And,
-        Instr::Or => NOp::Or,
-        Instr::Xor => NOp::Xor,
-        Instr::Shl => NOp::Shl,
-        Instr::Shr => NOp::Shr,
-        Instr::CmpEq => NOp::CmpEq,
-        Instr::CmpNe => NOp::CmpNe,
-        Instr::CmpLt => NOp::CmpLt,
-        Instr::CmpLe => NOp::CmpLe,
-        Instr::CmpGt => NOp::CmpGt,
-        Instr::CmpGe => NOp::CmpGe,
-        Instr::AddImm(n) => NOp::AddImm(n),
-        Instr::Dup => NOp::Dup,
-        Instr::Drop => NOp::Drop,
-        Instr::Exch => NOp::Exch,
-        Instr::Out => NOp::Out,
-        Instr::Noop => NOp::Noop,
-        Instr::Jump(d) => target(d).map_or(NOp::Interp(instr, len), NOp::Jmp),
-        Instr::JumpZero(d) => target(d).map_or(NOp::Interp(instr, len), NOp::Jz),
-        Instr::JumpNotZero(d) => target(d).map_or(NOp::Interp(instr, len), NOp::Jnz),
-        // Calls and returns dominate the interpreter-fallback share on
-        // call-dense code; they get the streamlined transfer handler.
-        Instr::LocalCall(_)
-        | Instr::ExternalCall(_)
-        | Instr::DirectCall(_)
-        | Instr::ShortDirectCall(_)
-        | Instr::Ret => NOp::Call(instr, len),
-        // Division traps, XFER, contexts, processes, heap and module
-        // ops all carry their own accounting; interpret them.
-        _ => NOp::Interp(instr, len),
+        Instr::Jump(d) | Instr::JumpZero(d) | Instr::JumpNotZero(d) => {
+            target(d).map_or(NOp::Interp(instr, len), |t| NOp::Br(instr, t))
+        }
+        _ => match fuse_model(instr, true) {
+            Some((_, _, true)) => NOp::Call(instr, len),
+            Some(_) => NOp::Op(instr),
+            None => NOp::Interp(instr, len),
+        },
     }
 }
 
@@ -792,10 +675,10 @@ mod tests {
     fn compile_body_lowers_and_maps_offsets() {
         let bytes = body_bytes(&[Instr::LoadImm(7), Instr::AddImm(1), Instr::Out, Instr::Ret]);
         let end = bytes.len() as u32;
-        let p = compile_body(&bytes, 0, end, true);
-        assert!(matches!(p.ops[0], NOp::Imm(7)));
-        assert!(matches!(p.ops[1], NOp::AddImm(1)));
-        assert!(matches!(p.ops[2], NOp::Out));
+        let p = compile_body(&bytes, 0, end);
+        assert!(matches!(p.ops[0], NOp::Op(Instr::LoadImm(7))));
+        assert!(matches!(p.ops[1], NOp::Op(Instr::AddImm(1))));
+        assert!(matches!(p.ops[2], NOp::Op(Instr::Out)));
         assert!(matches!(p.ops[3], NOp::Call(Instr::Ret, 1)));
         assert!(matches!(p.ops[4], NOp::Exit));
         assert_eq!(p.off_to_ip[0], 0);
@@ -805,19 +688,23 @@ mod tests {
     }
 
     #[test]
-    fn in_body_jumps_resolve_mem_ops_gate_on_banks() {
-        // 0: LoadLocal 0 (1 byte, LL0) ; 1: JumpZero back to it.
-        let bytes = body_bytes(&[Instr::LoadLocal(0), Instr::JumpZero(-1)]);
+    fn in_body_jumps_resolve_and_mem_ops_lower_natively() {
+        // 0: LoadLocal 0 (1 byte, LL0) ; 1: JumpZero back to it. Local
+        // and indirect memory ops run the shared bank-aware handlers,
+        // so a body lowers the same whatever the machine's banks.
+        let bytes = body_bytes(&[Instr::LoadLocal(0), Instr::JumpZero(-1), Instr::Read]);
         let end = bytes.len() as u32;
-        let fast = compile_body(&bytes, 0, end, true);
-        assert!(matches!(fast.ops[0], NOp::LocalRd(0)));
-        assert!(matches!(fast.ops[1], NOp::Jz(0)));
-        let banked = compile_body(&bytes, 0, end, false);
-        assert!(matches!(banked.ops[0], NOp::Interp(Instr::LoadLocal(0), _)));
-        // Out-of-body jump falls back to the interpreter.
-        let bytes = body_bytes(&[Instr::Jump(100)]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, true);
+        let p = compile_body(&bytes, 0, end);
+        assert!(matches!(p.ops[0], NOp::Op(Instr::LoadLocal(0))));
+        assert!(matches!(p.ops[1], NOp::Br(Instr::JumpZero(-1), 0)));
+        assert!(matches!(p.ops[2], NOp::Op(Instr::Read)));
+        // Out-of-body jumps, fallible ops and heavy accounting fall
+        // back to the interpreter.
+        let bytes = body_bytes(&[Instr::Jump(100), Instr::Div, Instr::LoadLocalAddr(0)]);
+        let p = compile_body(&bytes, 0, bytes.len() as u32);
         assert!(matches!(p.ops[0], NOp::Interp(Instr::Jump(100), _)));
+        assert!(matches!(p.ops[1], NOp::Interp(Instr::Div, 1)));
+        assert!(matches!(p.ops[2], NOp::Interp(Instr::LoadLocalAddr(0), _)));
     }
 
     #[test]
@@ -838,7 +725,7 @@ mod tests {
         assert!(t.has_pending());
         let pending = t.take_pending();
         for probe in pending {
-            if t.candidate(probe) && !t.compile(&bytes, 0, end, true) {
+            if t.candidate(probe) && !t.compile(&bytes, 0, end) {
                 t.refuse(probe);
             }
         }
@@ -868,10 +755,10 @@ mod tests {
             Instr::Out,
             Instr::Ret,
         ]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, true);
+        let p = compile_body(&bytes, 0, bytes.len() as u32);
         // The whole guard collapses into one dispatch.
-        assert!(matches!(p.ops[0], NOp::LdICmpJz(0, 2, Cmp::Lt, 2)));
-        assert!(matches!(p.ops[1], NOp::Out));
+        assert!(matches!(p.ops[0], NOp::LdICmpJz(0, 2, Instr::CmpLt, 2)));
+        assert!(matches!(p.ops[1], NOp::Op(Instr::Out)));
         assert!(matches!(p.ops[2], NOp::Call(Instr::Ret, 1)));
         // The run start stays mapped; swallowed ops do not.
         assert_eq!(p.off_to_ip[0], 0);
@@ -883,13 +770,13 @@ mod tests {
 
         // A jump landing on the would-be second blocks the pair.
         let bytes = body_bytes(&[Instr::LoadLocal(0), Instr::LoadImm(7), Instr::Jump(-2)]);
-        let p = compile_body(&bytes, 0, bytes.len() as u32, true);
+        let p = compile_body(&bytes, 0, bytes.len() as u32);
         assert!(
-            matches!(p.ops[0], NOp::LocalRd(0)),
+            matches!(p.ops[0], NOp::Op(Instr::LoadLocal(0))),
             "jump-target second must not fuse"
         );
-        assert!(matches!(p.ops[1], NOp::Imm(7)));
-        assert!(matches!(p.ops[2], NOp::Jmp(1)));
+        assert!(matches!(p.ops[1], NOp::Op(Instr::LoadImm(7))));
+        assert!(matches!(p.ops[2], NOp::Br(Instr::Jump(-2), 1)));
     }
 
     #[test]

@@ -132,14 +132,16 @@ fn is_pure_stack(i: Instr) -> bool {
 
 /// Evaluation-stack model of an instruction for fusion: `(pops,
 /// pushes, is_transfer)`, or `None` if the instruction is not fusible
-/// in that position. First position admits only non-control,
+/// in that position. The non-transfer ops admitted in second position
+/// are also exactly the machine's shared handler set, which the native
+/// tier runs in place. First position admits only non-control,
 /// non-trapping ops (no `Div`/`Mod` — they can trap — and no
 /// `LoadLocalAddr`, which can error under the Outlaw policy); second
 /// position adds jumps, indirect storage ops and the call/return
 /// transfers. Transfers model as `(0, 0)` — they manage the stack
 /// through their own (error-checked) discipline, identically fused or
 /// not.
-fn fuse_model(i: Instr, second: bool) -> Option<(i8, i8, bool)> {
+pub(crate) fn fuse_model(i: Instr, second: bool) -> Option<(i8, i8, bool)> {
     use Instr::*;
     let m = match i {
         LoadImm(_) | LoadLocal(_) | LoadGlobal(_) | LoadGlobalAddr(_) => (0, 1, false),
@@ -167,9 +169,8 @@ fn fuse_model(i: Instr, second: bool) -> Option<(i8, i8, bool)> {
 }
 
 /// Builds the fusion record for an adjacent pair, or `None` if the
-/// pair is not fusible. Public so `fpc-verify` can mirror the greedy
-/// pairing exactly when it checks jump targets against fused spans.
-pub fn fuse_pair(a: Instr, b: Instr, len_a: u8, len_b: u8) -> Option<FusedOp> {
+/// pair is not fusible.
+pub(crate) fn fuse_pair(a: Instr, b: Instr, len_a: u8, len_b: u8) -> Option<FusedOp> {
     let (pa, qa, _) = fuse_model(a, false)?;
     let (pb, qb, xfer) = fuse_model(b, true)?;
     let (pa, qa, pb, qb) = (pa as i32, qa as i32, pb as i32, qb as i32);

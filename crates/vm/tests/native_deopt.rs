@@ -323,3 +323,59 @@ fn terminal_faults_match_the_interpreter() {
         "state at the terminal fault must agree"
     );
 }
+
+#[test]
+fn bank_machine_retires_most_instructions_natively() {
+    // The bank machine (I4) shadows locals in register banks; compiled
+    // bodies read them through the same bank-aware handlers as the
+    // interpreter, so only calls and returns leave native code. tri(n)
+    // with renamed arguments retires 8 instructions per level, 2 of
+    // them transfers.
+    let mut b = ImageBuilder::new();
+    b.bank_args();
+    let m = b.module("m");
+    b.proc_with(m, ProcSpec::new("tri", 1, 1), |a| {
+        let base = a.label();
+        a.instr(Instr::LoadLocal(0));
+        a.jump_zero(base);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::LocalCall(0));
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::Add);
+        a.instr(Instr::Ret);
+        a.bind(base);
+        a.instr(Instr::LoadImm(0));
+        a.instr(Instr::Ret);
+    });
+    b.proc_with(m, ProcSpec::new("main", 0, 0), |a| {
+        for _ in 0..6 {
+            a.instr(Instr::LoadImm(40));
+            a.instr(Instr::LocalCall(0));
+            a.instr(Instr::Out);
+        }
+        a.instr(Instr::Halt);
+    });
+    let image = b
+        .build(ProcRef {
+            module: 0,
+            ev_index: 1,
+        })
+        .unwrap();
+    let config = MachineConfig::i4().with_native_threshold(4);
+    let mut native = Machine::load(&image, config.with_dispatch(Dispatch::Native)).unwrap();
+    assert!(native.arm_native(license()));
+    native.run(200_000).unwrap();
+    let mut reference = Machine::load(&image, config.with_dispatch(Dispatch::Byte)).unwrap();
+    reference.run(200_000).unwrap();
+    assert_eq!(native.output(), TRI_EXPECTED);
+    assert_eq!(fingerprint(&native), fingerprint(&reference));
+    let retired = native.stats().instructions;
+    let stats = native.native_stats().unwrap();
+    assert!(
+        2 * stats.native_instrs > retired,
+        "{} of {retired} instructions ran native: {stats:?}",
+        stats.native_instrs
+    );
+}

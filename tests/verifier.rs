@@ -193,11 +193,10 @@ fn rejects_bad_descriptor_word() {
 }
 
 #[test]
-fn rejects_jump_into_fused_pair_interior() {
-    // The wide LOADIMM at body offset 2 is 3 bytes and fuses with the
-    // following ADD (span [2, 6)); the hand-encoded byte jump at
-    // offset 0 targets offset 3 — the middle of the LOADIMM's
-    // immediate, strictly inside the fused span.
+fn rejects_jump_into_instruction_interior() {
+    // The wide LOADIMM at body offset 2 is 3 bytes; the hand-encoded
+    // byte jump at offset 0 targets offset 3 — the middle of the
+    // LOADIMM's immediate.
     use fpc_isa::opcode;
     let mut b = ImageBuilder::new();
     let m = b.module("m");
@@ -210,14 +209,11 @@ fn rejects_jump_into_fused_pair_interior() {
     let image = b.build(entry()).unwrap();
     let report = verify_default(&image);
     assert!(
-        report.diagnostics.iter().any(|d| matches!(
-            d.kind,
-            DiagKind::MidInstructionJump {
-                in_fused_pair: true,
-                ..
-            }
-        )),
-        "expected a mid-instruction jump diagnostic inside a fused pair:\n{report}"
+        report
+            .diagnostics
+            .iter()
+            .any(|d| matches!(d.kind, DiagKind::MidInstructionJump { .. })),
+        "expected a mid-instruction jump diagnostic:\n{report}"
     );
 }
 
