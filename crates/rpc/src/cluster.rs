@@ -26,7 +26,7 @@
 //!
 //! [`NetPlan`]: fpc_vm::inject::NetPlan
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use fpc_sched::{Context, DetScheduler, Population, SchedConfig, SchedReport, TickOutcome};
 use fpc_stats::Histogram;
@@ -147,6 +147,16 @@ enum CallState {
     },
 }
 
+impl CallState {
+    /// When this state's timer fires: the deadline or the resend time.
+    fn due(self) -> u64 {
+        match self {
+            CallState::InFlight { deadline_at } => deadline_at,
+            CallState::Backoff { resend_at } => resend_at,
+        }
+    }
+}
+
 /// A parked context plus everything needed to retry or fail its call.
 #[derive(Debug)]
 struct WaitingCall {
@@ -221,6 +231,10 @@ pub struct Cluster<T: Transport> {
     /// through these.
     replicas: HashMap<u8, Vec<NodeId>>,
     waiting: BTreeMap<u32, WaitingCall>,
+    /// One `(due, seq)` entry per waiting call, at its state's
+    /// [`CallState::due`], so a tick finds its due timers without
+    /// scanning `waiting`.
+    timers: BTreeSet<(u64, u32)>,
     next_seq: u32,
     stats: RpcStats,
 }
@@ -245,6 +259,7 @@ impl<T: Transport> Cluster<T> {
             servers: BTreeMap::new(),
             replicas: HashMap::new(),
             waiting: BTreeMap::new(),
+            timers: BTreeSet::new(),
             next_seq: 1,
             stats: RpcStats::default(),
         }
@@ -305,6 +320,11 @@ impl<T: Transport> Cluster<T> {
             self.handle_delivery(now, d);
         }
         self.fire_timers(now);
+        debug_assert_eq!(self.timers.len(), self.waiting.len());
+        debug_assert!(self
+            .timers
+            .iter()
+            .all(|&(due, seq)| self.waiting[&seq].state.due() == due));
     }
 
     /// Issues the remote call a parked context is blocked on: applies
@@ -359,6 +379,7 @@ impl<T: Transport> Cluster<T> {
             idempotence: req.idempotence,
             attempts: 0,
             first_issued: now,
+            // Unarmed until `send_attempt` files its timer.
             state: CallState::InFlight { deadline_at: 0 },
         };
         self.waiting.insert(seq, call);
@@ -367,11 +388,14 @@ impl<T: Transport> Cluster<T> {
 
     /// Sends (or resends) the request for `seq` and arms its deadline.
     fn send_attempt(&mut self, now: u64, seq: u32) {
+        self.set_state(
+            seq,
+            CallState::InFlight {
+                deadline_at: now + self.policy.deadline,
+            },
+        );
         let call = self.waiting.get_mut(&seq).expect("call filed");
         call.attempts += 1;
-        call.state = CallState::InFlight {
-            deadline_at: now + self.policy.deadline,
-        };
         let bytes = wire::encode(&Packet::Request(Request {
             seq,
             proc: call.proc,
@@ -488,11 +512,11 @@ impl<T: Transport> Cluster<T> {
         if r.results.len() != call.nret as usize {
             // The reply decoded but the result record is malformed;
             // retrying a deterministic decode error is pointless.
-            let call = self.waiting.remove(&r.seq).expect("present");
+            let call = self.unfile(r.seq);
             self.deliver_fault(call, RemoteFaultClass::DecodeError);
             return;
         }
-        let mut call = self.waiting.remove(&r.seq).expect("present");
+        let mut call = self.unfile(r.seq);
         call.ctx.machine.complete_remote(r.results);
         self.stats.completed += 1;
         let lat = now.saturating_sub(call.first_issued);
@@ -524,10 +548,12 @@ impl<T: Transport> Cluster<T> {
         });
         if retryable && attempts < self.policy.max_attempts {
             let wait = self.policy.backoff(attempts, &mut self.rng);
-            let call = self.waiting.get_mut(&seq).expect("present");
-            call.state = CallState::Backoff {
-                resend_at: now + wait,
-            };
+            self.set_state(
+                seq,
+                CallState::Backoff {
+                    resend_at: now + wait,
+                },
+            );
             return;
         }
         let exhausted = retryable && attempts >= self.policy.max_attempts;
@@ -536,8 +562,24 @@ impl<T: Transport> Cluster<T> {
         } else {
             class
         };
-        let call = self.waiting.remove(&seq).expect("present");
+        let call = self.unfile(seq);
         self.deliver_fault(call, class);
+    }
+
+    /// Moves waiting call `seq` to `state`, re-keying its timer entry.
+    fn set_state(&mut self, seq: u32, state: CallState) {
+        let call = self.waiting.get_mut(&seq).expect("call filed");
+        self.timers.remove(&(call.state.due(), seq));
+        self.timers.insert((state.due(), seq));
+        call.state = state;
+    }
+
+    /// Takes waiting call `seq` out of the waiting map and its timer
+    /// out of the index.
+    fn unfile(&mut self, seq: u32) -> WaitingCall {
+        let call = self.waiting.remove(&seq).expect("call filed");
+        self.timers.remove(&(call.state.due(), seq));
+        call
     }
 
     /// Hands a failure to the guest as a restartable `RemoteFault`.
@@ -547,29 +589,144 @@ impl<T: Transport> Cluster<T> {
         self.sched.wake(call.ctx);
     }
 
-    /// Fires every deadline and resend timer due at `now`.
+    /// Fires every deadline and resend timer due at `now`: first the
+    /// timed-out attempts, then the resends (including backoffs the
+    /// first phase just armed), each phase in seq order, so the jitter
+    /// draws come in the same order whatever the timers' due times.
     fn fire_timers(&mut self, now: u64) {
-        let timed_out: Vec<u32> = self
-            .waiting
-            .iter()
-            .filter(|(_, c)| matches!(c.state, CallState::InFlight { deadline_at } if deadline_at <= now))
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in timed_out {
+        if self.timers.first().is_none_or(|&(due, _)| due > now) {
+            return;
+        }
+        for seq in self.due_seqs(now, false) {
             self.stats.timeouts += 1;
             self.attempt_failed(now, seq, RemoteFaultClass::Timeout);
         }
-        let resend: Vec<u32> = self
-            .waiting
-            .iter()
-            .filter(
-                |(_, c)| matches!(c.state, CallState::Backoff { resend_at } if resend_at <= now),
-            )
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in resend {
+        for seq in self.due_seqs(now, true) {
             self.stats.retries += 1;
             self.send_attempt(now, seq);
         }
+    }
+
+    /// The seqs, ascending, of calls whose timer is due at `now` and
+    /// that are backing off (`backoff`) or in flight (`!backoff`).
+    fn due_seqs(&self, now: u64, backoff: bool) -> Vec<u32> {
+        let mut seqs: Vec<u32> = self
+            .timers
+            .range(..=(now, u32::MAX))
+            .map(|&(_, seq)| seq)
+            .filter(|seq| matches!(self.waiting[seq].state, CallState::Backoff { .. }) == backoff)
+            .collect();
+        seqs.sort_unstable();
+        seqs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{ChannelTransport, LinkConfig};
+    use fpc_isa::Instr;
+    use fpc_sched::FuelPolicy;
+    use fpc_vm::{ImageBuilder, ProcSpec};
+
+    fn cluster(policy: CallPolicy) -> Cluster<ChannelTransport> {
+        Cluster::new(
+            Population::from_factory(0, |_, _| unreachable!("empty population")),
+            &SchedConfig::default(),
+            ChannelTransport::new(LinkConfig::default()),
+            policy,
+            7,
+        )
+    }
+
+    /// Files a call for `seq` in `state`, as `issue` and the state
+    /// transitions would have left it.
+    fn file(c: &mut Cluster<ChannelTransport>, seq: u32, state: CallState) {
+        let mut b = ImageBuilder::new();
+        let m = b.module("m");
+        b.proc_with(m, ProcSpec::new("main", 0, 0), |a| a.instr(Instr::Halt));
+        let entry = ProcRef {
+            module: 0,
+            ev_index: 0,
+        };
+        let image = b.build(entry).unwrap();
+        let machine = Machine::load(&image, MachineConfig::i2()).unwrap();
+        let call = WaitingCall {
+            ctx: Context::new(seq as u64, machine, FuelPolicy::Quantum(100)),
+            node: 1,
+            proc: 0,
+            args: vec![seq as u16],
+            nret: 1,
+            idempotence: Idempotence::Unknown,
+            attempts: 1,
+            first_issued: 0,
+            state,
+        };
+        c.waiting.insert(seq, call);
+        c.timers.insert((state.due(), seq));
+    }
+
+    #[test]
+    fn due_timers_fire_in_seq_order_whatever_their_due_times() {
+        let mut c = cluster(CallPolicy::default());
+        // Deadlines fall due in the reverse of seq order.
+        for (seq, deadline_at) in [(1, 30), (2, 20), (3, 10)] {
+            file(&mut c, seq, CallState::InFlight { deadline_at });
+        }
+        file(&mut c, 4, CallState::Backoff { resend_at: 5 });
+        file(&mut c, 5, CallState::InFlight { deadline_at: 100 });
+        let mut rng = c.rng.clone();
+        let policy = c.policy;
+        c.fire_timers(40);
+        for seq in 1..=3 {
+            let resend_at = 40 + policy.backoff(1, &mut rng);
+            assert_eq!(
+                c.waiting[&seq].state,
+                CallState::Backoff { resend_at },
+                "seq {seq} takes the jitter draw of its seq rank"
+            );
+        }
+        assert_eq!(
+            c.waiting[&4].state,
+            CallState::InFlight {
+                deadline_at: 40 + policy.deadline
+            }
+        );
+        assert_eq!(c.waiting[&4].attempts, 2);
+        assert_eq!(
+            c.waiting[&5].state,
+            CallState::InFlight { deadline_at: 100 }
+        );
+        assert_eq!((c.stats.timeouts, c.stats.retries), (3, 1));
+        let timers: Vec<_> = c.timers.iter().copied().collect();
+        let mut want: Vec<_> = c.waiting.iter().map(|(&s, w)| (w.state.due(), s)).collect();
+        want.sort_unstable();
+        assert_eq!(timers, want, "one timer per waiting call, at its due time");
+    }
+
+    #[test]
+    fn backoffs_armed_by_a_timeout_resend_in_the_same_pump() {
+        // No backoff at all: a timed-out call is due to resend at once,
+        // and the resend phase re-reads the index to find it.
+        let mut c = cluster(CallPolicy {
+            backoff_base: 0,
+            backoff_cap: 0,
+            ..CallPolicy::default()
+        });
+        file(&mut c, 1, CallState::InFlight { deadline_at: 10 });
+        file(&mut c, 2, CallState::InFlight { deadline_at: 10 });
+        c.fire_timers(10);
+        for seq in 1..=2 {
+            assert_eq!(
+                c.waiting[&seq].state,
+                CallState::InFlight {
+                    deadline_at: 10 + c.policy.deadline
+                }
+            );
+            assert_eq!(c.waiting[&seq].attempts, 2);
+        }
+        assert_eq!((c.stats.timeouts, c.stats.retries), (2, 2));
+        assert_eq!(c.transport.in_flight(), 2, "both resent");
+        assert_eq!(c.timers.len(), 2);
     }
 }

@@ -47,8 +47,8 @@ pub trait Transport {
     fn poll(&mut self, now: u64) -> Vec<Delivery>;
     /// Frames still in flight.
     fn in_flight(&self) -> usize;
-    /// Earliest pending arrival, if any — the driver idles virtual
-    /// time toward it.
+    /// The earliest `deliver_at` over the frames still in flight, or
+    /// `None` when nothing is: no `poll` before then delivers anything.
     fn next_due(&self) -> Option<u64>;
     /// Network-side counters, when the backend keeps any.
     fn net_stats(&self) -> NetStats {
@@ -130,6 +130,9 @@ pub struct ChannelTransport {
     next_event: usize,
     sends: u64,
     flights: Vec<Flight>,
+    /// The minimum `deliver_at` over `flights` (`u64::MAX` when empty),
+    /// so a poll with nothing due returns without scanning.
+    earliest: u64,
     crashed: Vec<NodeId>,
     partitions: Vec<(NodeId, NodeId)>,
     /// When the serialized link frees up.
@@ -157,6 +160,7 @@ impl ChannelTransport {
             next_event: 0,
             sends: 0,
             flights: Vec::new(),
+            earliest: u64::MAX,
             crashed: Vec::new(),
             partitions: Vec::new(),
             link_free_at: 0,
@@ -203,6 +207,12 @@ impl ChannelTransport {
                     // A crash loses everything addressed to the node
                     // that has not yet arrived.
                     self.flights.retain(|f| f.to != node || f.nak);
+                    self.earliest = self
+                        .flights
+                        .iter()
+                        .map(|f| f.deliver_at)
+                        .min()
+                        .unwrap_or(u64::MAX);
                 }
                 NetEvent::RestartNode { node, .. } => {
                     if let Some(i) = self.crashed.iter().position(|&n| n == node) {
@@ -286,6 +296,7 @@ impl Transport for ChannelTransport {
             bytes: dest_bytes,
             nak,
         });
+        self.earliest = self.earliest.min(deliver_at);
         let this = self.flights.len() - 1;
         if dup && !nak {
             self.stats.duplicated += 1;
@@ -298,11 +309,13 @@ impl Transport for ChannelTransport {
                 bytes: f.bytes.clone(),
                 nak: false,
             };
+            self.earliest = self.earliest.min(copy.deliver_at);
             self.flights.push(copy);
         }
         if let Some(prev) = pending_swap {
             // The reorder event marked the previous frame: swap its
-            // arrival with this one's, so the later send overtakes.
+            // arrival with this one's, so the later send overtakes
+            // (a swap leaves `earliest` as it is).
             if prev < self.flights.len() && prev != this {
                 let t = self.flights[prev].deliver_at;
                 self.flights[prev].deliver_at = self.flights[this].deliver_at;
@@ -316,12 +329,19 @@ impl Transport for ChannelTransport {
     }
 
     fn poll(&mut self, now: u64) -> Vec<Delivery> {
+        if self.earliest > now {
+            return Vec::new();
+        }
         let mut due: Vec<Flight> = Vec::new();
+        // Every frame that stays is visited once at the `else`, so the
+        // scan also finds the new earliest arrival.
+        self.earliest = u64::MAX;
         let mut i = 0;
         while i < self.flights.len() {
             if self.flights[i].deliver_at <= now {
                 due.push(self.flights.swap_remove(i));
             } else {
+                self.earliest = self.earliest.min(self.flights[i].deliver_at);
                 i += 1;
             }
         }
@@ -342,7 +362,7 @@ impl Transport for ChannelTransport {
     }
 
     fn next_due(&self) -> Option<u64> {
-        self.flights.iter().map(|f| f.deliver_at).min()
+        (!self.flights.is_empty()).then_some(self.earliest)
     }
 
     fn net_stats(&self) -> NetStats {
@@ -461,5 +481,60 @@ mod tests {
             batched < unbatched,
             "batched link time {batched} should beat unbatched {unbatched}"
         );
+    }
+
+    /// The cached earliest arrival against a scan of every flight,
+    /// after every send and poll of seeded storms: drops, delays,
+    /// duplicates, reorders, crashes and partitions all move it.
+    #[test]
+    fn next_due_tracks_the_earliest_flight_through_storms() {
+        fn brute(t: &ChannelTransport) -> Option<u64> {
+            t.flights.iter().map(|f| f.deliver_at).min()
+        }
+        let mut total = NetStats::default();
+        for seed in 0..16 {
+            let mut t = ChannelTransport::with_plan(cfg(), NetPlan::generate(seed, 60, 2));
+            let mut rng = fpc_rng::Rng::seed_from_u64(seed);
+            let mut now = 0u64;
+            for _ in 0..200 {
+                now += rng.gen_index(80) as u64;
+                if rng.gen_bool(0.5) {
+                    let from = rng.gen_index(3) as NodeId;
+                    let to = (from + 1 + rng.gen_index(2) as NodeId) % 3;
+                    t.send(now, from, to, vec![0; 1 + rng.gen_index(12)]);
+                } else {
+                    let quiet = t.next_due().is_none_or(|due| now < due);
+                    let delivered = t.poll(now);
+                    assert!(
+                        !quiet || delivered.is_empty(),
+                        "seed {seed}: poll at {now} delivered before next_due"
+                    );
+                    assert!(
+                        quiet || !delivered.is_empty(),
+                        "seed {seed}: poll at {now} missed a due frame"
+                    );
+                }
+                assert_eq!(t.next_due(), brute(&t), "seed {seed} at {now}");
+            }
+            let s = t.stats();
+            total.dropped += s.dropped;
+            total.partition_dropped += s.partition_dropped;
+            total.naks += s.naks;
+            total.delayed += s.delayed;
+            total.duplicated += s.duplicated;
+            total.reordered += s.reordered;
+            total.crashes += s.crashes;
+        }
+        for (what, n) in [
+            ("drops", total.dropped),
+            ("partition drops", total.partition_dropped),
+            ("naks", total.naks),
+            ("delays", total.delayed),
+            ("duplicates", total.duplicated),
+            ("reorders", total.reordered),
+            ("crashes", total.crashes),
+        ] {
+            assert!(n > 0, "no storm exercised {what}");
+        }
     }
 }

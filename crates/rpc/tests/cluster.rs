@@ -292,6 +292,95 @@ fn partition_heals_and_calls_complete() {
     assert_eq!(report.sched.faults(), 0);
 }
 
+/// A pure-compute image: counts `n` down to zero, then halts.
+fn spinner_image(n: u16) -> Image {
+    let mut b = ImageBuilder::new();
+    let m = b.module("spin");
+    b.proc_with(m, ProcSpec::new("main", 0, 1), move |a| {
+        a.instr(Instr::LoadImm(n));
+        a.instr(Instr::StoreLocal(0));
+        let top = a.label();
+        a.bind(top);
+        a.instr(Instr::LoadLocal(0));
+        a.instr(Instr::LoadImm(1));
+        a.instr(Instr::Sub);
+        a.instr(Instr::StoreLocal(0));
+        a.instr(Instr::LoadLocal(0));
+        a.jump_not_zero(top);
+        a.instr(Instr::Halt);
+    });
+    b.build(ProcRef {
+        module: 0,
+        ev_index: 0,
+    })
+    .unwrap()
+}
+
+#[test]
+fn timeouts_due_in_one_pump_match_timeouts_spread_out() {
+    // Every caller's first request is dropped, so every call times out
+    // once and resends. A spinner context shares the client's one
+    // worker: with a long quantum its slice carries the clock past all
+    // the deadlines at once, so they fall due in the same pump; with a
+    // short one they fall due a pump or two at a time. Firing in seq
+    // order hands each call the same backoff jitter draw either way,
+    // and fuel slicing leaves guests' counters alone, so both runs must
+    // agree on every count and every guest final.
+    const CALLERS: u64 = 6;
+    let run = |spin_quantum: u64| {
+        let (image, _) = client_image(2, 1, false);
+        let spin = spinner_image(8_000);
+        let cfg = MachineConfig::i2().with_fault_reserve(512);
+        let population = Population::from_factory(CALLERS + 1, move |id, buf| {
+            if id == CALLERS {
+                let m = Machine::load_in(&spin, cfg, buf).unwrap();
+                Context::new(id, m, FuelPolicy::Quantum(spin_quantum))
+            } else {
+                let m = Machine::load_in(&image, cfg, buf).unwrap();
+                Context::new(id, m, FuelPolicy::Quantum(500))
+            }
+        });
+        let drops = (0..CALLERS).map(|at| NetEvent::Drop { at }).collect();
+        let mut cluster = Cluster::new(
+            population,
+            &sched_cfg(1),
+            ChannelTransport::with_plan(LinkConfig::default(), NetPlan::from_events(drops)),
+            CallPolicy::default(),
+            19,
+        );
+        cluster.add_server(1, inc_server());
+        let report = cluster.run();
+        let r = &report.rpc;
+        (
+            [
+                r.issued,
+                r.completed,
+                r.retries,
+                r.timeouts,
+                r.naks,
+                r.faults_delivered,
+                r.stale_replies,
+                r.server_requests,
+                r.recovery_latency.count(),
+                report.net.sent,
+                report.net.dropped,
+            ],
+            report
+                .sched
+                .finals_sorted()
+                .iter()
+                .map(|f| f.architectural())
+                .collect::<Vec<_>>(),
+        )
+    };
+    let (bunched, bunched_finals) = run(1_000_000);
+    let (spread, spread_finals) = run(50);
+    assert_eq!(bunched[3], CALLERS, "each first attempt timed out once");
+    assert_eq!(bunched[1], 2 * CALLERS, "every call completed");
+    assert_eq!(bunched, spread, "rpc and net counts");
+    assert_eq!(bunched_finals, spread_finals, "guest finals");
+}
+
 /// The transport trait object is usable too — the cluster is generic.
 #[test]
 fn transport_is_pollable_standalone() {
